@@ -119,7 +119,10 @@ def _parse_axis_scores(text: str) -> list[float]:
     text = text.strip()
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        try:
+            lo, hi = int(lo_text), int(hi_text)
+        except ValueError:
+            raise InputFormatError(f"bad score range {text!r}") from None
         if hi < lo:
             raise InputFormatError(f"empty score range {text!r}")
         return [float(v) for v in range(lo, hi + 1)]

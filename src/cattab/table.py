@@ -8,8 +8,9 @@ the usual maximum-likelihood ones (cell count over the relevant total).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -155,21 +156,37 @@ def crosstab(
 ) -> ContingencyTable:
     """Cross-tabulate raw (row category, column category) records.
 
-    Labels follow ``row_order``/``col_order`` when given (a record whose
-    category is missing from an explicit order is an error); otherwise
-    the distinct observed labels are sorted lexicographically. The table
-    total always equals the number of records.
+    ``records`` may be any iterable; it is read once. Labels follow
+    ``row_order``/``col_order`` when given (a record whose category is
+    missing from an explicit order is an error); otherwise the distinct
+    observed labels are sorted lexicographically. The table total always
+    equals the number of records.
     """
-    records = [(str(r), str(c)) for r, c in records]
-    if not records:
+    pair_counts = Counter((str(r), str(c)) for r, c in records)
+    return _table_from_pair_counts(pair_counts, row_order, col_order,
+                                   row_ordinal=row_ordinal, col_ordinal=col_ordinal)
+
+
+def _table_from_pair_counts(
+    pair_counts: Mapping[Record, int],
+    row_order: Sequence[str] | None = None,
+    col_order: Sequence[str] | None = None,
+    *,
+    row_ordinal: bool = False,
+    col_ordinal: bool = False,
+) -> ContingencyTable:
+    """Build a table from the number of records seen for each distinct
+    (row category, column category) pair; the counting core behind
+    :func:`crosstab` and the record-CSV reader."""
+    if not pair_counts:
         raise ValueError("cannot cross-tabulate an empty record set")
-    row_labels = _resolve_order((r for r, _ in records), row_order, "row")
-    col_labels = _resolve_order((c for _, c in records), col_order, "column")
+    row_labels = _resolve_order((r for r, _ in pair_counts), row_order, "row")
+    col_labels = _resolve_order((c for _, c in pair_counts), col_order, "column")
     row_index = {lab: i for i, lab in enumerate(row_labels)}
     col_index = {lab: j for j, lab in enumerate(col_labels)}
     counts = np.zeros((len(row_labels), len(col_labels)), dtype=np.int64)
-    for r, c in records:
-        counts[row_index[r], col_index[c]] += 1
+    for (r, c), k in pair_counts.items():
+        counts[row_index[r], col_index[c]] = k
     return ContingencyTable(counts, row_labels, col_labels,
                             row_ordinal=row_ordinal, col_ordinal=col_ordinal)
 

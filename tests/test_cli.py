@@ -1,6 +1,10 @@
+import csv
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cattab.cli import main
 from cattab.fixtures import fixture_path
@@ -10,6 +14,7 @@ from cattab.io import (
     parse_counts_csv,
     parse_records_csv,
 )
+from cattab.table import crosstab
 
 SHOOTINGS = str(fixture_path("police_shootings"))
 VACCINE = str(fixture_path("vaccine_trial"))
@@ -74,6 +79,58 @@ class TestCountsCsv:
         with pytest.raises(InputFormatError, match="cannot read"):
             parse_counts_csv("/nonexistent/nowhere.csv")
 
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank_lines.csv"
+        path.write_text("table,x,y\n\na,1,2\n  \n\nb,3,four\n")
+        with pytest.raises(InputFormatError, match="line 6, column 3"):
+            parse_counts_csv(path)
+
+    def test_error_line_counts_quoted_newline(self, tmp_path):
+        path = tmp_path / "quoted_newline.csv"
+        path.write_text('table,x,y\n"first\nrow",1,2\nb,3,four\n')
+        with pytest.raises(InputFormatError, match="line 4, column 3"):
+            parse_counts_csv(path)
+
+    def test_error_line_is_where_a_multiline_row_starts(self, tmp_path):
+        path = tmp_path / "multiline_bad_row.csv"
+        path.write_text('table,x,y\na,1,2\n"b\nc",3,four\n')
+        with pytest.raises(InputFormatError, match="line 3, column 3"):
+            parse_counts_csv(path)
+
+    def test_ragged_row_after_blank_lines(self, tmp_path):
+        path = tmp_path / "ragged_late.csv"
+        path.write_text("table,x,y\n\n\na,1,2\nb,3\n")
+        with pytest.raises(InputFormatError, match="line 5: expected 3 cells, got 2"):
+            parse_counts_csv(path)
+
+    def test_int64_maximum_accepted(self, tmp_path):
+        path = tmp_path / "int64_max.csv"
+        path.write_text("table,x,y\na,0,9223372036854775807\nb,0,0\n")
+        assert parse_counts_csv(path).counts[0, 1] == 2**63 - 1
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("table,x,y\n\n")
+        with pytest.raises(InputFormatError, match="need a header row"):
+            parse_counts_csv(path)
+
+    def test_csv_error_located(self, tmp_path):
+        path = tmp_path / "long_field.csv"
+        path.write_text("table,x,y\na,1,2\n" + "b" * 200_000 + ",3,4\n")
+        with pytest.raises(InputFormatError, match="line 3: field larger than field limit"):
+            parse_counts_csv(path)
+
+
+# Cell text for generated record files: padded, and quoted by csv.writer
+# when it holds a comma, a quote or a line break.
+_CELLS = st.tuples(
+    st.sampled_from(["", " ", "\t "]),
+    st.one_of(st.sampled_from(["a", "b", "a,b", 'say "hi"', "two\nlines", "\u00e9"]),
+              st.text(alphabet='ab ,"\n\r\t', max_size=5)),
+    st.sampled_from(["", " ", " \t"]),
+).map("".join)
+_BLANK_LINES = st.sampled_from(["\n", "\r\n", "   \n", " , \n"])
+
 
 class TestRecordsCsv:
     def test_basic(self, tmp_path):
@@ -95,6 +152,94 @@ class TestRecordsCsv:
         path.write_text("a,b\n")
         with pytest.raises(InputFormatError, match="no records"):
             parse_records_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n  \n")
+        with pytest.raises(InputFormatError, match="empty file"):
+            parse_records_csv(path)
+
+    def test_blank_rows_skipped_and_cells_stripped(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("\n race , gender \n white,man\n\n ,  \nwhite , man\n"
+                        "non-white,\" woman\"\n")
+        table, names = parse_records_csv(path)
+        assert names == ("race", "gender")
+        assert table.row_labels == ("non-white", "white")
+        assert table.col_labels == ("man", "woman")
+        assert table.counts.tolist() == [[0, 1], [2, 0]]
+
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank_lines.csv"
+        path.write_text("a,b\nx,y\n\n\nx,y,z\n")
+        with pytest.raises(InputFormatError, match="line 5: expected 2 cells, got 3"):
+            parse_records_csv(path)
+
+    def test_error_line_counts_quoted_newline(self, tmp_path):
+        path = tmp_path / "quoted_newline.csv"
+        path.write_text('a,b\n"x\ny",z\nq\n')
+        with pytest.raises(InputFormatError, match="line 4: expected 2 cells, got 1"):
+            parse_records_csv(path)
+
+    def test_error_line_is_where_a_multiline_row_starts(self, tmp_path):
+        path = tmp_path / "multiline_bad_row.csv"
+        path.write_text('a,b\nx,y\n"p\nq",r,s\n')
+        with pytest.raises(InputFormatError, match="line 3: expected 2 cells, got 3"):
+            parse_records_csv(path)
+
+    def test_error_names_first_bad_row_of_the_file(self, tmp_path):
+        path = tmp_path / "two_bad.csv"
+        path.write_text("a,b\nx,y\nx,y\nu,v,w\nx,y\nq\nu,v,w\n")
+        with pytest.raises(InputFormatError, match="line 4: expected 2 cells, got 3"):
+            parse_records_csv(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(names=st.tuples(_CELLS, _CELLS).filter(lambda p: p[0].strip() or p[1].strip()),
+           lines=st.lists(st.one_of(st.tuples(_CELLS, _CELLS), _BLANK_LINES), max_size=40),
+           leading=st.lists(_BLANK_LINES, max_size=2))
+    def test_matches_crosstab_of_stripped_records(self, tmp_path, names, lines, leading):
+        path = tmp_path / "random.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            fh.write("".join(leading))
+            writer.writerow(names)
+            for line in lines:
+                if isinstance(line, str):
+                    fh.write(line)
+                else:
+                    writer.writerow(line)
+        stripped = [(r.strip(), c.strip()) for r, c in
+                    (line for line in lines if not isinstance(line, str))]
+        records = [rec for rec in stripped if rec[0] or rec[1]]
+        try:
+            expected = crosstab(records)
+        except ValueError:
+            with pytest.raises(InputFormatError):
+                parse_records_csv(path)
+            return
+        table, parsed_names = parse_records_csv(path)
+        assert parsed_names == (names[0].strip(), names[1].strip())
+        assert table.row_labels == expected.row_labels
+        assert table.col_labels == expected.col_labels
+        assert table.counts.tolist() == expected.counts.tolist()
+
+    def test_memory_scales_with_distinct_rows(self, tmp_path):
+        path = tmp_path / "many.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["age_band", "severity"])
+            for k in range(50_000):
+                writer.writerow([f"band{k % 4}", f"level{k % 5}"])
+        parse_records_csv(path)  # first call pays any one-time set-up
+        tracemalloc.start()
+        try:
+            table, _ = parse_records_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.total() == 50_000
+        assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 class TestCliCommands:
@@ -283,6 +428,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "test", "linear", "--input", SURVEY,
                                "--scores", "1:5")
         assert code == 2
+
+    def test_input_error_bad_score_range(self, capsys):
+        code, _, err = run_cli(capsys, "test", "linear", "--input", SURVEY,
+                               "--scores", "1:5,a:b")
+        assert code == 2
+        assert "bad score range 'a:b'" in err
+
+    def test_input_error_count_above_int64(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("table,x,y\na,1,99999999999999999999\nb,3,4\n")
+        code, out, err = run_cli(capsys, "describe", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 2, column 3: count 99999999999999999999 exceeds" in err
 
     def test_json_number_formatting(self, capsys):
         _, out, _ = run_cli(capsys, "test", "independence", "--input",

@@ -104,6 +104,8 @@ class TestCrosstab:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="empty record set"):
             crosstab([])
+        with pytest.raises(ValueError, match="empty record set"):
+            crosstab(r for r in [])
 
     def test_category_missing_from_explicit_order_is_named(self):
         with pytest.raises(ValueError, match="'c'"):
@@ -113,6 +115,23 @@ class TestCrosstab:
         table = crosstab([("b", "y"), ("a", "x"), ("b", "x")])
         assert table.row_labels == ("a", "b")
         assert table.col_labels == ("x", "y")
+
+    def test_generator_matches_list(self):
+        records = [("b", "y"), ("a", "x"), ("b", "x"), ("a", "x"), ("b", "y")]
+        from_list = crosstab(records, col_order=["y", "x"])
+        from_generator = crosstab((r for r in records), col_order=["y", "x"])
+        assert from_generator.row_labels == from_list.row_labels == ("a", "b")
+        assert from_generator.col_labels == from_list.col_labels == ("y", "x")
+        assert from_generator.counts.tolist() == from_list.counts.tolist() == [[0, 2], [2, 1]]
+
+    def test_categories_compared_as_strings(self):
+        table = crosstab([(1, "x"), ("1", "x"), (2, "y")])
+        assert table.row_labels == ("1", "2")
+        assert table.counts.tolist() == [[2, 0], [0, 1]]
+
+    def test_duplicate_explicit_order_rejected(self):
+        with pytest.raises(ValueError, match="duplicate labels in explicit row order"):
+            crosstab([("a", "x"), ("b", "y")], row_order=["a", "b", "a"])
 
     @settings(max_examples=50)
     @given(tables())
