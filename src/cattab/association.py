@@ -148,8 +148,8 @@ def pearson_correlation(
     if n < 2:
         raise ValueError("correlation needs at least 2 observations")
     w = table.counts.astype(float)
-    row_tot = w.sum(axis=1)
-    col_tot = w.sum(axis=0)
+    row_tot = table.row_totals.astype(float)
+    col_tot = table.col_totals.astype(float)
     u = np.asarray(scores.row_scores, dtype=float)
     v = np.asarray(scores.col_scores, dtype=float)
     du = u - row_tot @ u / n

@@ -223,12 +223,13 @@ def wald_ci(
                               degenerate=(se == 0.0))
 
 
-def _require_positive_margins(table: ContingencyTable, rows: bool, cols: bool) -> None:
-    if rows and np.any(table.row_totals == 0):
-        lab = table.row_labels[int(np.argmin(table.row_totals))]
+def _require_positive_margins(table: ContingencyTable) -> None:
+    rows, cols = table.row_totals, table.col_totals
+    if not rows.all():
+        lab = table.row_labels[int(rows.argmin())]
         raise ValueError(f"row {lab!r} has zero total; expected frequencies undefined")
-    if cols and np.any(table.col_totals == 0):
-        lab = table.col_labels[int(np.argmin(table.col_totals))]
+    if not cols.all():
+        lab = table.col_labels[int(cols.argmin())]
         raise ValueError(f"column {lab!r} has zero total; expected frequencies undefined")
 
 
@@ -240,8 +241,8 @@ def expected_frequencies(
     only the interpretation of the fit differs."""
     if hypothesis not in ("independence", "homogeneity"):
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
-    n = table.total()
-    mu = np.outer(table.row_totals, table.col_totals) / n
+    # In floats: an int64 product of two margins can wrap once n > 3e9.
+    mu = np.outer(table.row_totals.astype(float), table.col_totals) / table.total()
     return ExpectedFrequencies(mu, hypothesis)
 
 
@@ -252,7 +253,7 @@ def _chisq_pair(
     mu = expected.values
     obs = table.counts.astype(float)
     df = (table.n_rows - 1) * (table.n_cols - 1)
-    warn = bool(np.any(mu < SMALL_CELL_THRESHOLD))
+    warn = bool(mu.min() < SMALL_CELL_THRESHOLD)
 
     x2 = float(((obs - mu) ** 2 / mu).sum())
     pos = obs > 0
@@ -271,7 +272,7 @@ def independence_test(
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
     """Pearson X^2 and deviance G^2 against the hypothesis that the row
     and column variables are independent; df = (I-1)(J-1)."""
-    _require_positive_margins(table, rows=True, cols=True)
+    _require_positive_margins(table)
     return _chisq_pair(table, "independence")
 
 
@@ -282,10 +283,9 @@ def homogeneity_test(
     row (the design-fixed margin) has the same conditional distribution
     over the columns. Numerically identical to the independence test;
     the sampling design and the conclusion wording differ."""
-    _require_positive_margins(table, rows=True, cols=False)
     # A zero response category breaks the shared expected-frequency
-    # formula just as it does under independence.
-    _require_positive_margins(table, rows=False, cols=True)
+    # formula just as a zero design row does.
+    _require_positive_margins(table)
     return _chisq_pair(table, "homogeneity")
 
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
+import re
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .table import ContingencyTable, _table_from_pair_counts
+from .table import _INT64_MAX, ContingencyTable, _table_from_pair_counts
 
 __all__ = [
     "InputFormatError",
@@ -34,12 +33,14 @@ class InputFormatError(Exception):
     format; maps to exit code 2 in the CLI."""
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# Thousands grouping, which survives CSV quoting: "2,892", "1,234,567".
+_GROUPED_INT = re.compile(r"[+-]?[0-9]{1,3}(?:,[0-9]{3})+")
 
 
 def _parse_count_cell(cell: str, line: int, column: int) -> int:
-    # Thousands separators survive CSV quoting ("2,892"); strip them.
-    text = cell.strip().replace(",", "")
+    text = cell.strip()
+    if _GROUPED_INT.fullmatch(text):
+        text = text.replace(",", "")
     try:
         value = int(text)
     except ValueError:

@@ -1,9 +1,13 @@
 """Scalar special-function kernels.
 
-Log-gamma (Lanczos series), the regularized incomplete gamma function
-(power series / continued fraction), the chi-square survival function,
-and the standard normal CDF and quantile. Everything is built on ``math``
-alone so the rest of the package carries no statistics runtime.
+Log-gamma, the regularized incomplete gamma function, the chi-square
+survival function, and the standard normal CDF and quantile, built on
+the standard library alone so the rest of the package carries no
+statistics runtime. Log-gamma is ``math.lgamma``, the normal CDF is
+``math.erfc`` and the normal quantile is ``statistics.NormalDist``; the
+incomplete gamma function, which the standard library lacks, is a power
+series / continued fraction, or Temme's uniform asymptotic expansion
+when the shape is large and x lies near it.
 
 All functions are pure, raise ``ValueError`` outside their domain, and
 never return NaN.
@@ -24,41 +28,54 @@ __all__ = [
     "normal_quantile",
 ]
 
-_LN_SQRT_2PI = 0.9189385332046727  # ln sqrt(2 pi)
-_SQRT_2PI = 2.5066282746310002
-
-# Lanczos approximation, g = 7, 9 terms (Godfrey's coefficients).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _MAX_ITER = 1000
+
+# Temme's expansion is used for shape a >= _TEMME_MIN_A and x/a within
+# 1 +- _TEMME_MAX_MU, that is |eta| <= 0.275. There the power series and
+# the continued fraction need O(sqrt(a)) terms; outside it they converge
+# in fewer than 150.
+_TEMME_MIN_A = 100.0
+_TEMME_MAX_MU = 0.25
+
+# Taylor coefficients in eta of Temme's C_k(eta), k = 0..6 (Temme 1979;
+# DiDonato & Morris 1986, ACM TOMS 12:377), from the recursion
+# C_0 = 1/(lambda - 1) - 1/eta, C_k = C_{k-1}'(eta)/eta + (-1)^k g_k/(lambda - 1)
+# in exact rational arithmetic, where g_k = 1/12, 1/288, -139/51840, ...
+# (the Stirling coefficients of 1/Gamma*(a)) cancels the pole at eta = 0.
+# Each row is truncated where its terms fall below 1e-17 at |eta| = 0.3
+# and a = 100.
+_TEMME_C = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+     0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+     3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+     8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+     1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06),
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05),
+    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+     -0.00019932570516188847, 6.797780477937208e-05),
+    (0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045),
+)
 
 
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function, for x > 0."""
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x == 1.0 or x == 2.0:
-        return 0.0  # exact zeros; keeps boundary PMFs exact
-    if x < 0.5:
-        # Reflection keeps the Lanczos sum in its accurate range.
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for k in range(1, 9):
-        acc += _LANCZOS[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def xlogy(y: float, p: float) -> float:
@@ -80,7 +97,7 @@ def _gamma_series(a: float, x: float) -> float:
         term *= x / denom
         total += term
         if abs(term) < abs(total) * 1e-17:
-            return total * math.exp(-x + a * math.log(x) - ln_gamma(a))
+            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise RuntimeError(f"incomplete gamma series failed to converge (a={a}, x={x})")
 
 
@@ -105,8 +122,29 @@ def _gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
+            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise RuntimeError(f"incomplete gamma fraction failed to converge (a={a}, x={x})")
+
+
+def _gamma_temme(a: float, x: float) -> tuple[float, float] | None:
+    """(P(a, x), Q(a, x)) by Temme's uniform asymptotic expansion
+    Q = erfc(eta sqrt(a/2))/2 + exp(-a eta^2/2)/sqrt(2 pi a) sum_k C_k(eta)/a^k,
+    with eta^2/2 = lambda - 1 - ln(lambda) and lambda = x/a; None when
+    (a, x) lies outside the range the coefficients cover."""
+    mu = (x - a) / a
+    if a < _TEMME_MIN_A or abs(mu) > _TEMME_MAX_MU:
+        return None
+    half_eta_sq = max(0.0, mu - math.log1p(mu))
+    eta = math.copysign(math.sqrt(2.0 * half_eta_sq), mu)
+    total = 0.0
+    for coefs in reversed(_TEMME_C):
+        ck = 0.0
+        for c in reversed(coefs):
+            ck = ck * eta + c
+        total = total / a + ck
+    r = math.exp(-a * half_eta_sq) / math.sqrt(2.0 * math.pi * a) * total
+    y = eta * math.sqrt(0.5 * a)
+    return 0.5 * math.erfc(-y) - r, 0.5 * math.erfc(y) + r
 
 
 def _check_gamma_args(a: float, x: float) -> None:
@@ -125,6 +163,9 @@ def reg_gamma_lower(a: float, x: float) -> float:
     _check_gamma_args(a, x)
     if x == 0.0:
         return 0.0
+    temme = _gamma_temme(a, x)
+    if temme is not None:
+        return _clip01(temme[0])
     if x < a + 1.0:
         return _clip01(_gamma_series(a, x))
     return _clip01(1.0 - _gamma_cf(a, x))
@@ -135,33 +176,44 @@ def reg_gamma_upper(a: float, x: float) -> float:
     _check_gamma_args(a, x)
     if x == 0.0:
         return 1.0
+    temme = _gamma_temme(a, x)
+    if temme is not None:
+        return _clip01(temme[1])
     if x < a + 1.0:
         return _clip01(1.0 - _gamma_series(a, x))
     return _clip01(_gamma_cf(a, x))
 
 
+def _chi2_sf_1df(x: float) -> float:
+    # P(chi-square(1) >= x) = P(|Z| >= sqrt(x)) = erfc(sqrt(x/2)).
+    return math.erfc(math.sqrt(0.5 * x))
+
+
 def chi2_sf(df: float, x: float) -> float:
     """Right-tail probability of the chi-square distribution with
-    ``df`` degrees of freedom: P(X >= x) = Q(df/2, x/2)."""
+    ``df`` degrees of freedom: P(X >= x) = Q(df/2, x/2), in closed form
+    at df = 1 and df = 2."""
     if not df > 0.0:
         raise ValueError(f"chi2_sf requires df > 0, got {df}")
     if x < 0.0:
         raise ValueError(f"chi2_sf requires x >= 0, got {x}")
+    if df == 1:
+        return _chi2_sf_1df(x)
+    if df == 2:
+        return math.exp(-0.5 * x)
     return reg_gamma_upper(0.5 * df, 0.5 * x)
 
 
 def normal_cdf(z: float) -> float:
     """Standard normal CDF.
 
-    Evaluated through the incomplete gamma identity
-    erfc(|z|/sqrt(2)) = Q(1/2, z^2/2), which makes
-    ``chi2_sf(1, z*z) == 2 * normal_cdf(-abs(z))`` hold by construction.
+    Evaluated as erfc(|z|/sqrt(2))/2 through the same kernel as
+    ``chi2_sf(1, .)``, which makes ``chi2_sf(1, z*z) == 2 * normal_cdf(-abs(z))``
+    hold by construction.
     """
     if math.isnan(z) or math.isinf(z):
         raise ValueError(f"normal_cdf requires finite z, got {z}")
-    if z == 0.0:
-        return 0.5
-    tail = 0.5 * reg_gamma_upper(0.5, 0.5 * z * z)
+    tail = 0.5 * _chi2_sf_1df(z * z)
     return tail if z < 0.0 else 1.0 - tail
 
 
@@ -170,42 +222,12 @@ def normal_sf(z: float) -> float:
     return normal_cdf(-z)
 
 
-# Rational approximation coefficients (Acklam) for the normal quantile.
-_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-
-_NQ_SPLIT = 0.02425
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF, for 0 < p < 1.
-
-    Rational approximation followed by one Halley refinement against
-    ``normal_cdf``; round-trips with the CDF to well below 1e-9.
-    """
+    """Inverse of the standard normal CDF, for 0 < p < 1."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires 0 < p < 1, got {p}")
-    a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
-    if p < _NQ_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _NQ_SPLIT:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley step sharpens the ~1e-9 approximation to machine level.
-    err = normal_cdf(x) - p
-    u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    # Imported on first use: ``statistics`` pulls in ``fractions`` and
+    # ``decimal``, which ``import cattab`` otherwise does without.
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)

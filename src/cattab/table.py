@@ -28,6 +28,7 @@ __all__ = [
 Record = tuple[str, str]
 
 _COHERENCE_TOL = 1e-12
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _frozen_int_matrix(values) -> np.ndarray:
@@ -78,16 +79,33 @@ class ContingencyTable:
             raise ValueError("at least 2 rows required")
         if n_cols < 2:
             raise ValueError("at least 2 columns required")
-        if np.any(counts < 0):
+        if counts.min() < 0:
             i, j = map(int, np.argwhere(counts < 0)[0])
             raise ValueError(f"negative count {counts[i, j]} at cell ({i}, {j})")
-        if int(counts.sum()) < 1:
+        # Every margin is at most n, so int64 margins are exact whenever n
+        # fits; the bound max * cells settles that without an exact sum.
+        if int(counts.max()) * counts.size > _INT64_MAX:
+            n = int(counts.sum(dtype=object))
+            if n > _INT64_MAX:
+                raise ValueError(
+                    f"table total {n} exceeds the largest supported total {_INT64_MAX}")
+        row_totals = counts.sum(axis=1)
+        col_totals = counts.sum(axis=0)
+        n = int(row_totals.sum())
+        if n < 1:
             raise ValueError("table total must be at least 1")
+        row_totals.setflags(write=False)
+        col_totals.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "row_labels",
                            _unique_labels(self.row_labels, n_rows, "row"))
         object.__setattr__(self, "col_labels",
                            _unique_labels(self.col_labels, n_cols, "column"))
+        # Computed once here and read by every statistic; not fields, so
+        # they stay out of the constructor, repr and equality.
+        object.__setattr__(self, "_row_totals", row_totals)
+        object.__setattr__(self, "_col_totals", col_totals)
+        object.__setattr__(self, "_total", n)
 
     @property
     def n_rows(self) -> int:
@@ -103,11 +121,13 @@ class ContingencyTable:
 
     @property
     def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        """Read-only int64 row totals."""
+        return self._row_totals
 
     @property
     def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
+        """Read-only int64 column totals."""
+        return self._col_totals
 
     def row_total(self, i: int) -> int:
         return int(self.row_totals[i])
@@ -117,7 +137,7 @@ class ContingencyTable:
 
     def total(self) -> int:
         """Grand total n."""
-        return int(self.counts.sum())
+        return self._total
 
 
 @dataclass(frozen=True)
@@ -243,13 +263,13 @@ def conditional_probabilities(
     """
     if given == "rows":
         margins = table.row_totals
-        if np.any(margins == 0):
+        if not margins.all():
             lab = table.row_labels[int(np.argmin(margins))]
             raise ValueError(f"cannot condition on empty row {lab!r}")
         out = table.counts / margins[:, None]
     elif given == "cols":
         margins = table.col_totals
-        if np.any(margins == 0):
+        if not margins.all():
             lab = table.col_labels[int(np.argmin(margins))]
             raise ValueError(f"cannot condition on empty column {lab!r}")
         out = table.counts / margins[None, :]

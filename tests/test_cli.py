@@ -1,7 +1,9 @@
 import csv
 import json
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,27 @@ class TestCountsCsv:
         path.write_text('table,Woman,Man\nNon-White,98,"2,892"\nWhite,155,"2,552"\n')
         table = parse_counts_csv(path)
         assert table.counts.tolist() == [[98, 2892], [155, 2552]]
+
+    def test_quoted_thousands_groups(self, tmp_path):
+        path = tmp_path / "grouped.csv"
+        path.write_text('table,x,y\na,"1,234,567"," 12,000 "\nb,"999",7\n')
+        table = parse_counts_csv(path)
+        assert table.counts.tolist() == [[1234567, 12000], [999, 7]]
+
+    @pytest.mark.parametrize("cell", ["1,5", "1,2345", ",123", "123,", "1,,234",
+                                      "12345,678", "1,234.0", "1, 234"])
+    def test_malformed_thousands_separator_located(self, tmp_path, cell):
+        path = tmp_path / "bad_grouping.csv"
+        path.write_text(f'table,x,y\na,1,2\nb,3,"{cell}"\n')
+        with pytest.raises(InputFormatError,
+                           match=f"line 3, column 3: expected an integer count, got '{cell}'"):
+            parse_counts_csv(path)
+
+    def test_grouped_negative_count_is_negative(self, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text('table,x,y\na,"-1,234",2\nb,3,4\n')
+        with pytest.raises(InputFormatError, match="line 2, column 2: negative count -1234"):
+            parse_counts_csv(path)
 
     def test_unquoted_embedded_comma_is_ragged(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -443,7 +466,71 @@ class TestExitCodes:
         assert out == ""
         assert "line 2, column 3: count 99999999999999999999 exceeds" in err
 
+    def test_input_error_comma_not_thousands_grouping(self, capsys, tmp_path):
+        # Stripping every comma read this cell as 15 (n = 19, exit 0).
+        path = tmp_path / "comma.csv"
+        path.write_text('table,x,y\na,"1,5",1\nb,2,1\n')
+        code, out, err = run_cli(capsys, "describe", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 2, column 2: expected an integer count, got '1,5'" in err
+
+    @pytest.mark.parametrize("command", [["describe"], ["test", "independence"]])
+    @pytest.mark.parametrize("rows", [
+        # Two cells of 5e18 in one column: the int64 total wrapped negative
+        # ("table total must be at least 1").
+        ["a,5000000000000000000,1", "b,5000000000000000000,1"],
+        # Four cells of 5e18: the total wrapped to a wrong positive; describe
+        # exited 3 and test independence reported X^2 = 2.26e38.
+        ["a,5000000000000000000,5000000000000000000",
+         "b,5000000000000000000,5000000000000000000"],
+    ])
+    def test_input_error_table_total_above_int64(self, capsys, tmp_path, command, rows):
+        path = tmp_path / "overflow.csv"
+        path.write_text("table,x,y\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, *command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "exceeds the largest supported total 9223372036854775807" in err
+        assert "Traceback" not in err
+
+    def test_independence_on_a_450x450_table(self, capsys, tmp_path):
+        # df = 201,601; a null table puts X^2 near df, where the incomplete
+        # gamma series and continued fraction did not converge.
+        rng = np.random.default_rng(450)
+        counts = rng.multinomial(12 * 450 * 450, np.full(450 * 450, 1 / 450**2)).reshape(450, 450)
+        path = tmp_path / "large.csv"
+        lines = ["table," + ",".join(f"c{j}" for j in range(450))]
+        lines += [f"r{i}," + ",".join(map(str, row)) for i, row in enumerate(counts.tolist())]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "test", "independence", "--input", str(path),
+                                 "--format", "json")
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        for key in ("pearson", "deviance"):
+            assert results[key]["df"] == 449 * 449
+            assert 1e-6 < results[key]["p_value"] < 1.0 - 1e-6
+
     def test_json_number_formatting(self, capsys):
         _, out, _ = run_cli(capsys, "test", "independence", "--input",
                             SHOOTINGS, "--format", "json")
         assert '"statistic": 20.06770267' in out
+
+
+GOLDEN = Path(__file__).parent / "golden" / "readme_examples.json"
+
+
+def _fixture_args(argv):
+    return [str(fixture_path(arg[:-len(".csv")])) if arg.endswith(".csv") else arg
+            for arg in argv]
+
+
+@pytest.mark.parametrize("example", json.loads(GOLDEN.read_text()),
+                         ids=lambda example: " ".join(example["argv"][:2]))
+def test_readme_example_json_is_unchanged(capsys, example):
+    """Every README example's JSON stdout, byte for byte as recorded in
+    ``golden/readme_examples.json`` (fixture file names are resolved to
+    the bundled fixtures)."""
+    code, out, err = run_cli(capsys, *_fixture_args(example["argv"]))
+    assert code == 0, err
+    assert out == example["stdout"]

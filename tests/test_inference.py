@@ -269,6 +269,19 @@ class TestExpectedFrequencies:
         with pytest.raises(ValueError):
             expected_frequencies(police_shootings(), "linearity")
 
+    def test_margin_products_beyond_int64(self):
+        # row_total * col_total = 1e20 wraps in int64 arithmetic.
+        big = 5 * 10**9
+        table = make_table([[big, big], [big, big + 1]])
+        expected = expected_frequencies(table)
+        exact = [float(decimal.Decimal(r) * c / table.total())
+                 for r in (2 * big, 2 * big + 1) for c in (2 * big, 2 * big + 1)]
+        assert expected.values.ravel().tolist() == pytest.approx(exact, rel=1e-15)
+        pearson, deviance, _ = independence_test(table)
+        assert 0.0 <= pearson.statistic < 1e-9
+        assert 0.0 <= deviance.statistic < 1e-9
+        assert pearson.p_value > 0.9999
+
 
 class TestIndependenceTest:
     def test_shootings(self):
@@ -315,6 +328,16 @@ class TestIndependenceTest:
         table = ContingencyTable([[1, 0], [3, 0]], ("a", "b"), ("x", "y"))
         with pytest.raises(ValueError, match="zero total"):
             independence_test(table)
+
+    @pytest.mark.parametrize("runner", [independence_test, homogeneity_test])
+    def test_first_zero_margin_named_rows_first(self, runner):
+        table = ContingencyTable([[0, 0, 0], [1, 0, 2], [0, 0, 0]],
+                                 ("a", "b", "c"), ("x", "y", "z"))
+        with pytest.raises(ValueError, match="row 'a' has zero total"):
+            runner(table)
+        table = ContingencyTable([[1, 0, 0], [1, 0, 2]], ("a", "b"), ("x", "y", "z"))
+        with pytest.raises(ValueError, match="column 'y' has zero total"):
+            runner(table)
 
     def test_zero_iff_rank_one(self):
         table = make_table([[5, 1], [1, 5]])

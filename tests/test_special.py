@@ -1,8 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cattab.special import (
+    _gamma_cf,
+    _gamma_series,
+    _gamma_temme,
     chi2_sf,
     ln_gamma,
     normal_cdf,
@@ -37,6 +42,18 @@ REG_GAMMA_UPPER_REF = {
     (8.0, 20.0): 0.00077859008250736303843,
     (50.0, 40.0): 0.92966493334060504556,
     (50.0, 65.0): 0.02351239780980867575,
+}
+
+# Q(a, x) at large shape, where Temme's expansion is used: a 40-digit
+# mpmath quadrature of t^(a-1) e^(-t) / Gamma(a) over [x, x + 80 sqrt(a)].
+REG_GAMMA_UPPER_LARGE_REF = {
+    (150.0, 140.0): 0.79045637608139293365,
+    (1000.0, 1080.0): 0.0066466046411159278047,
+    (19800.5, 19800.0): 0.50047252927329967689,
+    (5e4, 4.9e4): 0.99999661524577192051,
+    (1e5, 1e5): 0.49957947788963482331,
+    (1e6, 1.003e6): 0.0013617406462175914794,
+    (1e7, 0.9995e7): 0.94309492926100659596,
 }
 
 NORMAL_CDF_REF = {
@@ -117,6 +134,35 @@ class TestRegularizedGamma:
             grid = [reg_gamma_upper(a, 0.25 * k) for k in range(80)]
             assert all(lo > hi for lo, hi in zip(grid, grid[1:]))
 
+    @pytest.mark.parametrize("args, expected", sorted(REG_GAMMA_UPPER_LARGE_REF.items()))
+    def test_large_shape_reference_values(self, args, expected):
+        assert reg_gamma_upper(*args) == pytest.approx(expected, rel=1e-12)
+        assert reg_gamma_lower(*args) == pytest.approx(1.0 - expected, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("ratio", [0.75, 0.9, 0.999, 1.0, 1.01, 1.1, 1.25])
+    def test_large_shape_expansion_matches_series_and_fraction(self, a, ratio):
+        # Temme's expansion covers 0.75 <= x/a <= 1.25 for a >= 100. For
+        # these shapes the series and the continued fraction still converge
+        # there too, so the two must agree; each is checked on the smaller
+        # tail, where it matters.
+        x = a * ratio
+        p, q = _gamma_temme(a, x)
+        if x < a + 1.0:
+            assert p == pytest.approx(_gamma_series(a, x), rel=1e-10)
+        else:
+            assert q == pytest.approx(_gamma_cf(a, x), rel=1e-10)
+        assert p + q == pytest.approx(1.0, abs=1e-15)
+
+    def test_large_shape_near_its_mean_converges(self):
+        # The series and the continued fraction need O(sqrt(a)) terms here.
+        for a in (2e4, 1e5, 1e6, 1e9):
+            for k in (-3.0, -0.5, 0.0, 0.5, 3.0):
+                x = a + k * math.sqrt(a)
+                q, p = reg_gamma_upper(a, x), reg_gamma_lower(a, x)
+                assert 0.0 < q < 1.0
+                assert p + q == pytest.approx(1.0, abs=1e-14)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             reg_gamma_upper(0.0, 1.0)
@@ -143,6 +189,27 @@ class TestChiSquareSurvival:
 
     def test_large_statistic_is_significant(self):
         assert chi2_sf(1, 20.068) < 0.01
+
+    @given(st.floats(-37.0, 37.0))
+    def test_one_df_is_the_two_sided_normal_tail_exactly(self, z):
+        # Exact below |z| = 37.5, where 2 * normal_cdf(-|z|) is still a
+        # normal float and halving it loses nothing.
+        assert chi2_sf(1, z * z) == 2.0 * normal_cdf(-abs(z))
+
+    @given(st.floats(0.0, 1e4))
+    def test_closed_forms_match_the_incomplete_gamma(self, x):
+        assert chi2_sf(2, x) == math.exp(-0.5 * x)
+        assert chi2_sf(2, x) == pytest.approx(reg_gamma_upper(1.0, 0.5 * x),
+                                              rel=1e-12, abs=1e-300)
+        assert chi2_sf(1, x) == pytest.approx(reg_gamma_upper(0.5, 0.5 * x),
+                                              rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("df, x", [(2e5, 2e5), (39601, 39600), (62001, 61700)])
+    def test_large_df_near_the_mean(self, df, x):
+        # Null tables of about 200x200 and larger put X^2 here.
+        p = chi2_sf(df, x)
+        assert 0.1 < p < 0.9
+        assert p == pytest.approx(reg_gamma_upper(0.5 * df, 0.5 * x), rel=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,57 @@ class TestContingencyTable:
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
             ContingencyTable([[1, 2], [3, 4]], ("a", "b", "c"), ("x", "y"))
+
+    def test_margins_are_read_only_int64(self):
+        table = police_shootings()
+        for margins in (table.row_totals, table.col_totals):
+            assert margins.dtype == np.int64
+            with pytest.raises(ValueError):
+                margins[0] = 7
+        assert type(table.total()) is int
+
+    def test_margins_are_not_fields(self):
+        table = police_shootings()
+        assert [f.name for f in dataclasses.fields(table)] == [
+            "counts", "row_labels", "col_labels", "row_ordinal", "col_ordinal"]
+        assert "_row_totals" not in repr(table)
+        rebuilt = dataclasses.replace(table, counts=[[1, 2], [3, 4]])
+        assert rebuilt.row_totals.tolist() == [3, 7]
+        assert rebuilt.col_totals.tolist() == [4, 6]
+        assert rebuilt.total() == 10
+
+    def test_margins_do_not_follow_the_callers_array(self):
+        counts = np.array([[1, 2], [3, 4]])
+        table = ContingencyTable(counts, ("a", "b"), ("x", "y"))
+        counts[0, 0] = 100
+        assert table.row_totals.tolist() == [3, 7]
+        assert table.total() == 10
+
+    @pytest.mark.parametrize("counts", [
+        # Two cells of 5e18 in one column: the int64 total wraps negative.
+        [[5 * 10**18, 1], [5 * 10**18, 1]],
+        # Four cells of 5e18: the int64 total wraps to a wrong positive.
+        [[5 * 10**18, 5 * 10**18], [5 * 10**18, 5 * 10**18]],
+        # Each margin fits, the total does not.
+        [[2**62, 0], [0, 2**62]],
+    ])
+    def test_rejects_total_above_int64(self, counts):
+        with pytest.raises(ValueError, match="exceeds the largest supported total"):
+            ContingencyTable(counts, ("a", "b"), ("x", "y"))
+
+    def test_accepts_total_at_int64_maximum(self):
+        top = int(np.iinfo(np.int64).max)
+        table = ContingencyTable([[top - 3, 1], [1, 1]], ("a", "b"), ("x", "y"))
+        assert table.total() == top
+        assert table.row_totals.tolist() == [top - 2, 2]
+        assert table.col_totals.tolist() == [top - 2, 2]
+
+    @given(tables(max_rows=6, max_cols=6, max_count=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_margins_match_counts(self, table):
+        assert table.row_totals.tolist() == table.counts.sum(axis=1).tolist()
+        assert table.col_totals.tolist() == table.counts.sum(axis=0).tolist()
+        assert table.total() == int(table.counts.sum())
 
 
 class TestCrosstab:
