@@ -56,12 +56,15 @@ class OddsRatioResult:
     correction_applied: bool
 
 
+def _integer_scores(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Consecutive integer scores 1..I and 1..J as float arrays; with
+    I, J >= 2 they always have two distinct values per axis."""
+    return np.arange(1.0, n_rows + 1), np.arange(1.0, n_cols + 1)
+
+
 def default_scores(table: ContingencyTable) -> ScoreAssignment:
     """Consecutive integer scores 1..I and 1..J in table order."""
-    return ScoreAssignment(
-        tuple(float(i) for i in range(1, table.n_rows + 1)),
-        tuple(float(j) for j in range(1, table.n_cols + 1)),
-    )
+    return ScoreAssignment(*_integer_scores(*table.shape))
 
 
 def _check_index(i: int, limit: int, axis: str) -> None:
@@ -115,8 +118,8 @@ def odds_ratio(
         _check_index(c, table.n_cols, "column")
     if i == i2 or j == j2:
         raise ValueError("odds ratio needs two distinct rows and two distinct columns")
-    cells = (int(table.counts[i, j]), int(table.counts[i2, j2]),
-             int(table.counts[i2, j]), int(table.counts[i, j2]))
+    item = table.counts.item  # Python ints, without a numpy scalar per cell
+    cells = (item(i, j), item(i2, j2), item(i2, j), item(i, j2))
     if all(c == 0 for c in cells):
         raise ValueError("all four cells are zero; odds ratio undefined")
     shift = 0.5 if zero_correction else 0.0
@@ -137,21 +140,22 @@ def pearson_correlation(
     the two resulting columns. Defaults to integer scores 1..I / 1..J.
     """
     if scores is None:
-        scores = default_scores(table)
-    if len(scores.row_scores) != table.n_rows:
-        raise ValueError(
-            f"need {table.n_rows} row scores, got {len(scores.row_scores)}")
-    if len(scores.col_scores) != table.n_cols:
-        raise ValueError(
-            f"need {table.n_cols} column scores, got {len(scores.col_scores)}")
+        u, v = _integer_scores(*table.shape)
+    else:
+        if len(scores.row_scores) != table.n_rows:
+            raise ValueError(
+                f"need {table.n_rows} row scores, got {len(scores.row_scores)}")
+        if len(scores.col_scores) != table.n_cols:
+            raise ValueError(
+                f"need {table.n_cols} column scores, got {len(scores.col_scores)}")
+        u = np.asarray(scores.row_scores, dtype=float)
+        v = np.asarray(scores.col_scores, dtype=float)
     n = table.total()
     if n < 2:
         raise ValueError("correlation needs at least 2 observations")
     w = table.counts.astype(float)
     row_tot = table.row_totals.astype(float)
     col_tot = table.col_totals.astype(float)
-    u = np.asarray(scores.row_scores, dtype=float)
-    v = np.asarray(scores.col_scores, dtype=float)
     du = u - row_tot @ u / n
     dv = v - col_tot @ v / n
     ss_u = float(row_tot @ du**2)

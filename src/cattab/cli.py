@@ -511,6 +511,10 @@ def _scheme_from_args(args) -> SamplingScheme:
         joint = np.outer(row_marg, col_marg)
         return SamplingScheme.multinomial(args.n, joint)
     if args.scheme == "binomial-rows":
+        if args.row_marginals is not None:
+            raise InputFormatError(
+                "--row-marginals does not apply to the binomial-rows scheme: "
+                "its rows are fixed by --row-totals")
         if not args.row_totals or col_marg is None:
             raise InputFormatError(
                 "--row-totals and --col-marginals are required for the "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import ScoreAssignment, default_scores, pearson_correlation
+from .association import ScoreAssignment, pearson_correlation
 from .special import chi2_sf, normal_cdf, normal_quantile, xlogy
 from .table import ContingencyTable
 
@@ -242,7 +242,7 @@ def expected_frequencies(
     if hypothesis not in ("independence", "homogeneity"):
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
     # In floats: an int64 product of two margins can wrap once n > 3e9.
-    mu = np.outer(table.row_totals.astype(float), table.col_totals) / table.total()
+    mu = table.row_totals.astype(float)[:, None] * table.col_totals / table.total()
     return ExpectedFrequencies(mu, hypothesis)
 
 
@@ -251,14 +251,15 @@ def _chisq_pair(
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
     expected = expected_frequencies(table, hypothesis)
     mu = expected.values
-    obs = table.counts.astype(float)
+    obs = table.counts
     df = (table.n_rows - 1) * (table.n_cols - 1)
     warn = bool(mu.min() < SMALL_CELL_THRESHOLD)
 
     x2 = float(((obs - mu) ** 2 / mu).sum())
-    pos = obs > 0
-    g2 = float(2.0 * (obs[pos] * np.log(obs[pos] / mu[pos])).sum())
-    g2 = max(0.0, g2)
+    if not obs.all():  # 0 ln 0 = 0: sum over the positive cells only
+        pos = obs > 0
+        obs, mu = obs[pos], mu[pos]
+    g2 = max(0.0, float(2.0 * (obs * np.log(obs / mu)).sum()))
 
     pearson = TestResult(x2, StatisticKind.PEARSON_CHISQ, df, chi2_sf(df, x2),
                          small_cell_warning=warn)
@@ -298,11 +299,9 @@ def mantel_haenszel_test(
     Without explicit scores, both axes must be flagged ordinal; the
     default consecutive integer scores are then used.
     """
-    if scores is None:
-        if not (table.row_ordinal and table.col_ordinal):
-            raise ValueError(
-                "explicit scores required: table axes are not flagged ordinal")
-        scores = default_scores(table)
+    if scores is None and not (table.row_ordinal and table.col_ordinal):
+        raise ValueError(
+            "explicit scores required: table axes are not flagged ordinal")
     r = pearson_correlation(table, scores)
     stat = (table.total() - 1) * r * r
     return TestResult(stat, StatisticKind.MANTEL_HAENSZEL, 1, chi2_sf(1, stat))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import ScoreAssignment
+from .association import ScoreAssignment, _integer_scores
 from .inference import (
     StatisticKind,
     homogeneity_test,
@@ -201,11 +201,7 @@ def _require_null(scheme: SamplingScheme, test: StatisticKind,
         return scores
     # Linear-association null: zero correlation under the given scores.
     if scores is None:
-        n_rows, n_cols = scheme.shape
-        scores = ScoreAssignment(
-            tuple(float(i) for i in range(1, n_rows + 1)),
-            tuple(float(j) for j in range(1, n_cols + 1)),
-        )
+        scores = ScoreAssignment(*_integer_scores(*scheme.shape))
     u = np.asarray(scores.row_scores)
     v = np.asarray(scores.col_scores)
     du = u - rows @ u

@@ -9,7 +9,7 @@ the usual maximum-likelihood ones (cell count over the relevant total).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
@@ -35,9 +35,17 @@ def _frozen_int_matrix(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError(f"counts must be a 2-D matrix, got shape {arr.shape}")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
+    if arr.size and not np.can_cast(arr.dtype, np.int64):
+        if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
             raise ValueError("counts must be integers")
+        # Checked before the cast, which would wrap (uint64), saturate
+        # (float) or overflow (Python ints) a value outside int64. The
+        # bounds are exact powers of two, so float comparisons are exact.
+        for outside, fault in ((arr >= 2**63, f"exceeds the int64 maximum {_INT64_MAX}"),
+                               (arr < -2**63, f"is below the int64 minimum {-2**63}")):
+            if outside.any():
+                i, j = map(int, np.argwhere(outside)[0])
+                raise ValueError(f"count {arr[i, j]} at cell ({i}, {j}) {fault}")
     arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
@@ -142,23 +150,23 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class ProbabilityEstimates:
-    """Maximum-likelihood joint and marginal probability estimates."""
+    """Maximum-likelihood joint probability estimates and the row and
+    column marginals they imply, summed from ``joint`` on construction."""
 
     joint: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
+    row_marginal: np.ndarray = field(init=False)
+    col_marginal: np.ndarray = field(init=False)
     source: ContingencyTable
 
     def __post_init__(self) -> None:
         joint = np.asarray(self.joint, dtype=float)
-        rows = np.asarray(self.row_marginal, dtype=float)
-        cols = np.asarray(self.col_marginal, dtype=float)
-        if abs(joint.sum() - 1.0) > _COHERENCE_TOL:
-            raise ValueError(f"joint probabilities sum to {joint.sum()!r}, not 1")
-        if np.max(np.abs(joint.sum(axis=1) - rows)) > _COHERENCE_TOL:
-            raise ValueError("row marginals inconsistent with joint matrix")
-        if np.max(np.abs(joint.sum(axis=0) - cols)) > _COHERENCE_TOL:
-            raise ValueError("column marginals inconsistent with joint matrix")
+        rows = joint.sum(axis=1)
+        cols = joint.sum(axis=0)
+        # Both marginals sum to the joint's total, up to rounding far
+        # below the tolerance, so one check covers them.
+        total = rows.sum()
+        if abs(total - 1.0) > _COHERENCE_TOL:
+            raise ValueError(f"joint probabilities sum to {float(total)!r}, not 1")
         for arr in (joint, rows, cols):
             arr.setflags(write=False)
         object.__setattr__(self, "joint", joint)
@@ -241,14 +249,7 @@ def expand_records(table: ContingencyTable) -> list[Record]:
 def joint_probabilities(table: ContingencyTable) -> ProbabilityEstimates:
     """ML estimates of the joint cell probabilities (count / n) together
     with the row and column marginals."""
-    n = table.total()
-    joint = table.counts / n
-    return ProbabilityEstimates(
-        joint=joint,
-        row_marginal=joint.sum(axis=1),
-        col_marginal=joint.sum(axis=0),
-        source=table,
-    )
+    return ProbabilityEstimates(table.counts / table.total(), table)
 
 
 def conditional_probabilities(

@@ -32,6 +32,15 @@ def positive_2x2(draw, max_count=60):
     return make_table([[cells[0], cells[1]], [cells[2], cells[3]]])
 
 
+@st.composite
+def count_tables(draw, max_side=6, max_count=50):
+    n_rows = draw(st.integers(2, max_side))
+    n_cols = draw(st.integers(2, max_side))
+    cells = draw(st.lists(st.integers(0, max_count), min_size=n_rows * n_cols,
+                          max_size=n_rows * n_cols).filter(any))
+    return make_table(np.reshape(cells, (n_rows, n_cols)))
+
+
 class TestOdds:
     def test_men_nonwhite_versus_white(self):
         table = police_shootings()
@@ -179,6 +188,19 @@ class TestPearsonCorrelation:
             expected = np.corrcoef(us, vs)[0, 1]
             assert pearson_correlation(table, scores) == \
                 pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=100)
+    @given(count_tables())
+    def test_default_scores_give_the_same_result_exactly(self, table):
+        # Zero cells, rows and columns included; where the scores have no
+        # variance over the data, both calls raise the same error.
+        outcomes = []
+        for scores in (None, default_scores(table)):
+            try:
+                outcomes.append(pearson_correlation(table, scores))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @settings(max_examples=100)
     @given(positive_2x2())

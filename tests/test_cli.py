@@ -419,6 +419,19 @@ class TestCliCommands:
         assert code == 2
         assert "--seed" in err
 
+    def test_binomial_rows_rejects_row_marginals(self, capsys):
+        argv = ["simulate", "calibrate", "--scheme", "binomial-rows",
+                "--row-totals", "100,100", "--col-marginals", ".5,.5",
+                "--replicates", "1000", "--seed", "3", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv, "--row-marginals", ".9,.1")
+        assert code == 2
+        assert out == ""
+        assert "--row-marginals does not apply to the binomial-rows scheme" in err
+        assert "Traceback" not in err
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["results"]["reference_df"] == 1
+
     def test_text_output_shows_statistics(self, capsys, monkeypatch):
         monkeypatch.setenv("CATTAB_NO_COLOR", "1")
         code, out, _ = run_cli(capsys, "test", "homogeneity", "--input", VACCINE)

@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cattab.association import ScoreAssignment
+from cattab.association import ScoreAssignment, default_scores
 from cattab.fixtures import life_quality_survey, police_shootings, vaccine_trial
 from cattab.inference import (
     Sidedness,
@@ -50,6 +52,19 @@ def decimal_deviance(counts, digits=50):
             if o
         )
         return float(2 * total)
+
+
+@st.composite
+def count_matrices(draw, min_count=0, max_count=500, max_side=6):
+    """Count matrices, 2x2 to 6x6, whose every row and column has a
+    positive total; with min_count=0 most of them hold zero cells."""
+    n_rows = draw(st.integers(2, max_side))
+    n_cols = draw(st.integers(2, max_side))
+    cells = st.integers(min_count, max_count)
+    rows = draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows)
+                .filter(lambda rows: all(map(any, rows)) and all(map(any, zip(*rows)))))
+    return np.array(rows, dtype=np.int64)
 
 
 class TestMleProportion:
@@ -358,6 +373,19 @@ class TestHomogeneityTest:
         assert deviance.p_value < 0.01
         assert expected.hypothesis == "homogeneity"
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(count_matrices(min_count=0, max_count=5),
+                     count_matrices(min_count=0), count_matrices(min_count=1)))
+    def test_deviance_matches_decimal_oracle(self, counts):
+        # Zero cells add 0 ln 0 = 0 to G^2; tables with and without them.
+        _, deviance, expected = homogeneity_test(make_table(counts))
+        assert deviance.statistic == pytest.approx(decimal_deviance(counts),
+                                                   rel=1e-10, abs=1e-10)
+        # The formula over the positive cells only, bit for bit.
+        mu, pos = expected.values, counts > 0
+        masked = 2.0 * (counts[pos] * np.log(counts[pos] / mu[pos])).sum()
+        assert deviance.statistic == max(0.0, float(masked))
+
     def test_vaccine_trial_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
         table = vaccine_trial()
@@ -413,6 +441,13 @@ class TestMantelHaenszel:
             mantel_haenszel_test(table)
         ordinal = make_table([[5, 1], [2, 8]], row_ordinal=True, col_ordinal=True)
         assert mantel_haenszel_test(ordinal).statistic > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(count_matrices(min_count=0, max_count=50))
+    def test_default_scores_give_the_same_result_exactly(self, counts):
+        table = make_table(counts, row_ordinal=True, col_ordinal=True)
+        assert mantel_haenszel_test(table) == \
+            mantel_haenszel_test(table, default_scores(table))
 
 
 class TestResultInvariants:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cattab.fixtures import police_shootings, vaccine_trial
 from cattab.table import (
     ContingencyTable,
+    ProbabilityEstimates,
     conditional_probabilities,
     crosstab,
     expand_records,
@@ -123,6 +124,30 @@ class TestContingencyTable:
         assert table.row_totals.tolist() == [top - 2, 2]
         assert table.col_totals.tolist() == [top - 2, 2]
 
+    @pytest.mark.parametrize("counts", [
+        [[10**19, 1], [1, 1]],
+        [[1e19, 1], [1, 1]],
+        np.array([[2**63, 1], [1, 1]], dtype=np.uint64),
+        [[10**20, 1], [1, 1]],
+    ])
+    def test_rejects_count_above_int64(self, counts):
+        with pytest.raises(ValueError,
+                           match=r"at cell \(0, 0\) exceeds the int64 maximum 9223372036854775807"):
+            ContingencyTable(counts, ("a", "b"), ("x", "y"))
+
+    def test_count_below_int64_is_named(self):
+        with pytest.raises(ValueError, match=r"cell \(1, 0\) is below the int64 minimum"):
+            ContingencyTable([[1, 1], [-1e19, 1]], ("a", "b"), ("x", "y"))
+
+    @pytest.mark.parametrize("counts, total", [
+        (np.array([[3, 1], [1, 1]], dtype=np.uint64), 6),
+        ([[float(2**63 - 1024), 0], [0, 0]], 2**63 - 1024),  # largest float below 2**63
+    ])
+    def test_accepts_in_range_unsigned_and_float_counts(self, counts, total):
+        table = ContingencyTable(counts, ("a", "b"), ("x", "y"))
+        assert table.counts.dtype == np.int64
+        assert table.total() == total
+
     @given(tables(max_rows=6, max_cols=6, max_count=10**6))
     @settings(max_examples=50, deadline=None)
     def test_margins_match_counts(self, table):
@@ -214,6 +239,26 @@ class TestJointProbabilities:
         table = ContingencyTable([[25, 25], [25, 25]], ("a", "b"), ("x", "y"))
         est = joint_probabilities(table)
         assert np.allclose(est.joint, 0.25, atol=0)
+
+    def test_marginals_are_derived_not_passed(self):
+        assert [f.name for f in dataclasses.fields(ProbabilityEstimates) if f.init] == [
+            "joint", "source"]
+
+    def test_hand_built_joint_must_sum_to_one(self):
+        table = police_shootings()
+        with pytest.raises(ValueError, match="sum to 0.9"):
+            ProbabilityEstimates(np.array([[0.2, 0.3], [0.2, 0.2]]), table)
+
+    @settings(max_examples=50)
+    @given(tables(max_rows=6, max_cols=6, max_count=10**6))
+    def test_read_only_with_exact_marginals(self, table):
+        est = joint_probabilities(table)
+        assert np.array_equal(est.joint, table.counts / table.total())
+        assert est.row_marginal.tobytes() == est.joint.sum(axis=1).tobytes()
+        assert est.col_marginal.tobytes() == est.joint.sum(axis=0).tobytes()
+        for arr in (est.joint, est.row_marginal, est.col_marginal):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
 
     @settings(max_examples=50)
     @given(tables())
