@@ -153,7 +153,6 @@ def pearson_correlation(
     n = table.total()
     if n < 2:
         raise ValueError("correlation needs at least 2 observations")
-    w = table.counts.astype(float)
     row_tot = table.row_totals.astype(float)
     col_tot = table.col_totals.astype(float)
     du = u - row_tot @ u / n
@@ -164,5 +163,6 @@ def pearson_correlation(
         raise ValueError("row scores have zero variance over the observed data")
     if ss_v <= 0.0:
         raise ValueError("column scores have zero variance over the observed data")
-    r = float(du @ w @ dv) / math.sqrt(ss_u * ss_v)
+    # matmul casts the int64 counts to a float copy of its own.
+    r = float(du @ table.counts @ dv) / math.sqrt(ss_u * ss_v)
     return max(-1.0, min(1.0, r))

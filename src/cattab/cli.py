@@ -498,36 +498,40 @@ def _cmd_dist(args):
     return results, [], payload
 
 
+# The options each sampling scheme takes, all of them required. Any
+# other scheme option given is an input error rather than silently
+# ignored: binomial-rows, for one, has no row margin to draw.
+_SCHEME_OPTIONS = {
+    "multinomial": ("--n", "--row-marginals", "--col-marginals"),
+    "binomial-rows": ("--row-totals", "--col-marginals"),
+    "poisson": ("--total-rate", "--row-marginals", "--col-marginals"),
+}
+
+
 def _scheme_from_args(args) -> SamplingScheme:
-    row_marg = _parse_float_list(args.row_marginals, "--row-marginals") \
-        if args.row_marginals else None
-    col_marg = _parse_float_list(args.col_marginals, "--col-marginals") \
-        if args.col_marginals else None
-    if args.scheme == "multinomial":
-        if args.n is None or row_marg is None or col_marg is None:
+    takes = _SCHEME_OPTIONS[args.scheme]
+    given = {flag: getattr(args, flag[2:].replace("-", "_"))
+             for flag in ("--n", "--row-marginals", "--col-marginals",
+                          "--row-totals", "--total-rate")}
+    for flag, value in given.items():
+        if value is not None and flag not in takes:
             raise InputFormatError(
-                "--n, --row-marginals and --col-marginals are required for "
-                "the multinomial scheme")
-        joint = np.outer(row_marg, col_marg)
-        return SamplingScheme.multinomial(args.n, joint)
+                f"{flag} does not apply to the {args.scheme} scheme, which "
+                f"takes {', '.join(takes)}")
+    if any(given[flag] in (None, "") for flag in takes):
+        raise InputFormatError(
+            f"{', '.join(takes[:-1])} and {takes[-1]} are required for the "
+            f"{args.scheme} scheme")
     if args.scheme == "binomial-rows":
-        if args.row_marginals is not None:
-            raise InputFormatError(
-                "--row-marginals does not apply to the binomial-rows scheme: "
-                "its rows are fixed by --row-totals")
-        if not args.row_totals or col_marg is None:
-            raise InputFormatError(
-                "--row-totals and --col-marginals are required for the "
-                "binomial-rows scheme")
+        col_marg = _parse_float_list(args.col_marginals, "--col-marginals")
         totals = _parse_int_list(args.row_totals, "--row-totals")
         probs = np.tile(np.asarray(col_marg), (len(totals), 1))
         return SamplingScheme.binomial_rows(totals, probs)
-    if args.total_rate is None or row_marg is None or col_marg is None:
-        raise InputFormatError(
-            "--total-rate, --row-marginals and --col-marginals are required "
-            "for the poisson scheme")
-    rates = args.total_rate * np.outer(row_marg, col_marg)
-    return SamplingScheme.poisson(rates)
+    joint = np.outer(_parse_float_list(args.row_marginals, "--row-marginals"),
+                     _parse_float_list(args.col_marginals, "--col-marginals"))
+    if args.scheme == "multinomial":
+        return SamplingScheme.multinomial(args.n, joint)
+    return SamplingScheme.poisson(args.total_rate * joint)
 
 
 def _scheme_payload(scheme: SamplingScheme) -> dict:

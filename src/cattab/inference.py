@@ -102,9 +102,20 @@ class ExpectedFrequencies:
     hypothesis: str  # "independence" | "homogeneity"
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        # A copy, so that freezing it leaves the caller's array writable.
+        values = np.array(self.values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, hypothesis: str) -> ExpectedFrequencies:
+        """Frequencies around a float array built for them alone, kept
+        without the copy a caller's array gets."""
+        expected = cls.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(expected, "values", values)
+        object.__setattr__(expected, "hypothesis", hypothesis)
+        return expected
 
 
 @dataclass(frozen=True)
@@ -242,24 +253,42 @@ def expected_frequencies(
     if hypothesis not in ("independence", "homogeneity"):
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
     # In floats: an int64 product of two margins can wrap once n > 3e9.
-    mu = table.row_totals.astype(float)[:, None] * table.col_totals / table.total()
-    return ExpectedFrequencies(mu, hypothesis)
+    mu = table.row_totals.astype(float)[:, None] * table.col_totals
+    mu /= table.total()
+    return ExpectedFrequencies._adopt(mu, hypothesis)
 
 
 def _chisq_pair(
     table: ContingencyTable, hypothesis: str
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
+    """X^2 and G^2 with their p-values and the expected frequencies.
+
+    Memory: besides the returned expected-frequency matrix, one work
+    buffer of the table's size holds every cell term in turn, and a
+    table with zero cells adds a boolean mask and one array of its
+    positive G^2 terms. The statistics are bit for bit
+    ``((o - mu) ** 2 / mu).sum()`` and
+    ``2 * (o[pos] * log(o[pos] / mu[pos])).sum()``: the same terms,
+    summed in the same order.
+    """
     expected = expected_frequencies(table, hypothesis)
     mu = expected.values
     obs = table.counts
     df = (table.n_rows - 1) * (table.n_cols - 1)
     warn = bool(mu.min() < SMALL_CELL_THRESHOLD)
 
-    x2 = float(((obs - mu) ** 2 / mu).sum())
-    if not obs.all():  # 0 ln 0 = 0: sum over the positive cells only
-        pos = obs > 0
-        obs, mu = obs[pos], mu[pos]
-    g2 = max(0.0, float(2.0 * (obs * np.log(obs / mu)).sum()))
+    work = np.subtract(obs, mu)
+    np.square(work, out=work)
+    np.divide(work, mu, out=work)
+    x2 = float(work.sum())
+
+    # 0 ln 0 = 0: the log runs over the positive cells only, and a zero
+    # cell's term stays 0 / mu * 0 = 0 until the compress drops it.
+    pos = True if obs.all() else obs > 0
+    np.divide(obs, mu, out=work)
+    np.log(work, out=work, where=pos)
+    np.multiply(work, obs, out=work)
+    g2 = max(0.0, float(2.0 * (work.sum() if pos is True else work[pos].sum())))
 
     pearson = TestResult(x2, StatisticKind.PEARSON_CHISQ, df, chi2_sf(df, x2),
                          small_cell_warning=warn)

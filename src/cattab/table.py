@@ -159,7 +159,20 @@ class ProbabilityEstimates:
     source: ContingencyTable
 
     def __post_init__(self) -> None:
-        joint = np.asarray(self.joint, dtype=float)
+        # A copy, so that freezing it leaves the caller's array writable
+        # and a later write to that array cannot change these estimates.
+        self._freeze(np.array(self.joint, dtype=float))
+
+    @classmethod
+    def _adopt(cls, joint: np.ndarray, source: ContingencyTable) -> ProbabilityEstimates:
+        """Estimates around a float array built for them alone, kept
+        without the copy a caller's array gets."""
+        estimates = cls.__new__(cls)
+        object.__setattr__(estimates, "source", source)
+        estimates._freeze(joint)
+        return estimates
+
+    def _freeze(self, joint: np.ndarray) -> None:
         rows = joint.sum(axis=1)
         cols = joint.sum(axis=0)
         # Both marginals sum to the joint's total, up to rounding far
@@ -249,7 +262,9 @@ def expand_records(table: ContingencyTable) -> list[Record]:
 def joint_probabilities(table: ContingencyTable) -> ProbabilityEstimates:
     """ML estimates of the joint cell probabilities (count / n) together
     with the row and column marginals."""
-    return ProbabilityEstimates(table.counts / table.total(), table)
+    joint = table.counts.astype(float)
+    joint /= table.total()
+    return ProbabilityEstimates._adopt(joint, table)
 
 
 def conditional_probabilities(
@@ -267,14 +282,17 @@ def conditional_probabilities(
         if not margins.all():
             lab = table.row_labels[int(np.argmin(margins))]
             raise ValueError(f"cannot condition on empty row {lab!r}")
-        out = table.counts / margins[:, None]
+        margins = margins[:, None]
     elif given == "cols":
         margins = table.col_totals
         if not margins.all():
             lab = table.col_labels[int(np.argmin(margins))]
             raise ValueError(f"cannot condition on empty column {lab!r}")
-        out = table.counts / margins[None, :]
     else:
         raise ValueError(f"given must be 'rows' or 'cols', got {given!r}")
+    # A float copy divided in place: int64 operands of the division
+    # would each be cast through a buffer of their own.
+    out = table.counts.astype(float)
+    out /= margins.astype(float)
     out.setflags(write=False)
     return out

@@ -432,6 +432,29 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(out)["results"]["reference_df"] == 1
 
+    @pytest.mark.parametrize("scheme_args, extra", [
+        (("--scheme", "multinomial", "--n", "200", "--row-marginals", ".5,.5"),
+         ("--row-totals", "5,5")),
+        (("--scheme", "multinomial", "--n", "200", "--row-marginals", ".5,.5"),
+         ("--total-rate", "9")),
+        (("--scheme", "binomial-rows", "--row-totals", "100,100"), ("--n", "200")),
+        (("--scheme", "binomial-rows", "--row-totals", "100,100"), ("--total-rate", "9")),
+        (("--scheme", "poisson", "--total-rate", "900", "--row-marginals", ".5,.5"),
+         ("--n", "200")),
+        (("--scheme", "poisson", "--total-rate", "900", "--row-marginals", ".5,.5"),
+         ("--row-totals", "5,5")),
+    ])
+    def test_scheme_rejects_options_it_does_not_take(self, capsys, scheme_args, extra):
+        argv = ["simulate", "calibrate", *scheme_args, "--col-marginals", ".5,.5",
+                "--replicates", "1000", "--seed", "1", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert f"{extra[0]} does not apply to the {scheme_args[1]} scheme" in err
+        assert "Traceback" not in err
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+
     def test_text_output_shows_statistics(self, capsys, monkeypatch):
         monkeypatch.setenv("CATTAB_NO_COLOR", "1")
         code, out, _ = run_cli(capsys, "test", "homogeneity", "--input", VACCINE)

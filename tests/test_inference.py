@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cattab.association import ScoreAssignment, default_scores
 from cattab.fixtures import life_quality_survey, police_shootings, vaccine_trial
 from cattab.inference import (
+    ExpectedFrequencies,
     Sidedness,
     StatisticKind,
     expected_frequencies,
@@ -284,6 +286,14 @@ class TestExpectedFrequencies:
         with pytest.raises(ValueError):
             expected_frequencies(police_shootings(), "linearity")
 
+    def test_caller_array_is_copied(self):
+        values = np.full((2, 2), 2.5)
+        expected = ExpectedFrequencies(values, "independence")
+        values[0, 0] = 1.0  # the caller's array stays writable
+        assert expected.values.tolist() == [[2.5, 2.5], [2.5, 2.5]]
+        with pytest.raises(ValueError):
+            expected.values[0, 0] = 1.0
+
     def test_margin_products_beyond_int64(self):
         # row_total * col_total = 1e20 wraps in int64 arithmetic.
         big = 5 * 10**9
@@ -481,3 +491,64 @@ class TestResultInvariants:
             assert expected.values.min() >= 10
             gap = abs(pearson.statistic - deviance.statistic)
             assert gap <= 0.2 * max(pearson.statistic, 1.0)
+
+
+def seeded_counts(size, zero_cells, seed):
+    """A size x size table with positive margins: Poisson counts around
+    a random rank-one mean, with 30% of the cells set to zero when
+    ``zero_cells`` is set and every cell positive otherwise."""
+    rng = np.random.default_rng([size, seed])
+    mean = np.outer(rng.dirichlet(np.full(size, 5.0)), rng.dirichlet(np.full(size, 5.0)))
+    counts = rng.poisson(12 * size * size * mean)
+    if zero_cells:
+        counts[rng.random(counts.shape) < 0.3] = 0
+        counts[np.arange(size), rng.permutation(size)] += 1  # positive margins
+        assert not counts.all()
+    else:
+        counts += 1
+    return counts
+
+
+class TestLargeTableKernel:
+    """Tables past numpy's 128-element pairwise-summation block, checked
+    bit for bit against the plain formulas the kernels implement."""
+
+    @pytest.mark.parametrize("zero_cells", [False, True])
+    @pytest.mark.parametrize("size, seed", [(12, 0), (12, 1), (37, 0), (90, 0),
+                                            (160, 0), (250, 0)])
+    def test_bit_identical_to_plain_formulas(self, size, seed, zero_cells):
+        counts = seeded_counts(size, zero_cells, seed)
+        table = make_table(counts)
+        o = table.counts
+        mu = table.row_totals.astype(float)[:, None] * table.col_totals / table.total()
+        pos = o > 0
+        x2 = float(((o - mu) ** 2 / mu).sum())
+        g2 = max(0.0, float(2 * (o[pos] * np.log(o[pos] / mu[pos])).sum()))
+        df = (size - 1) ** 2
+        for runner in (independence_test, homogeneity_test):
+            pearson, deviance, expected = runner(table)
+            assert expected.values.tobytes() == mu.tobytes()
+            assert pearson.statistic == x2 and deviance.statistic == g2
+            assert pearson.p_value == chi2_sf(df, x2)
+            assert deviance.p_value == chi2_sf(df, g2)
+            assert pearson.small_cell_warning == deviance.small_cell_warning \
+                == bool(mu.min() < 5)
+
+    @pytest.mark.parametrize("zero_cells, budget", [(False, 2.25), (True, 3.25)])
+    def test_peak_allocation(self, zero_cells, budget):
+        # Expected frequencies plus one work buffer; with zero cells, a
+        # mask and the positive G^2 terms as well. One zero cell keeps
+        # nearly every term, the costliest case.
+        counts = seeded_counts(250, False, 0)
+        if zero_cells:
+            counts[0, 0] = 0
+        table = make_table(counts)
+        independence_test(table)  # first call pays any one-time set-up
+        tracemalloc.start()
+        try:
+            independence_test(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * table.counts.nbytes, \
+            f"peak {peak / table.counts.nbytes:.2f}x counts.nbytes"

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,13 @@ class TestJointProbabilities:
         with pytest.raises(ValueError, match="sum to 0.9"):
             ProbabilityEstimates(np.array([[0.2, 0.3], [0.2, 0.2]]), table)
 
+    def test_caller_array_is_copied(self):
+        joint = np.full((2, 2), 0.25)
+        est = ProbabilityEstimates(joint, police_shootings())
+        joint[0, 0] = 1.0  # the caller's array stays writable
+        assert est.joint.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+        assert est.row_marginal.tolist() == est.col_marginal.tolist() == [0.5, 0.5]
+
     @settings(max_examples=50)
     @given(tables(max_rows=6, max_cols=6, max_count=10**6))
     def test_read_only_with_exact_marginals(self, table):
@@ -309,3 +317,44 @@ class TestConditionalProbabilities:
         cond = conditional_probabilities(table, "rows")
         rebuilt = cond * est.row_marginal[:, None]
         assert np.max(np.abs(rebuilt - est.joint)) <= 1e-12
+
+
+class TestLargeTables:
+    @staticmethod
+    def table(zero_cells):
+        rng = np.random.default_rng(250)
+        counts = rng.poisson(12, (250, 250)) + 1
+        if zero_cells:
+            counts[rng.random(counts.shape) < 0.3] = 0
+            counts[np.arange(250), rng.permutation(250)] += 1
+        return ContingencyTable(counts, tuple(f"r{i}" for i in range(250)),
+                                tuple(f"c{j}" for j in range(250)))
+
+    @pytest.mark.parametrize("zero_cells", [False, True])
+    def test_bit_identical_to_plain_formulas(self, zero_cells):
+        table = self.table(zero_cells)
+        counts = table.counts
+        est = joint_probabilities(table)
+        assert est.joint.tobytes() == (counts / table.total()).tobytes()
+        assert est.row_marginal.tobytes() == est.joint.sum(axis=1).tobytes()
+        assert conditional_probabilities(table, "rows").tobytes() == \
+            (counts / table.row_totals[:, None]).tobytes()
+        assert conditional_probabilities(table, "cols").tobytes() == \
+            (counts / table.col_totals[None, :]).tobytes()
+
+    @pytest.mark.parametrize("estimate", [
+        joint_probabilities,
+        lambda t: conditional_probabilities(t, "rows"),
+        lambda t: conditional_probabilities(t, "cols"),
+    ])
+    def test_peak_allocation_is_the_result(self, estimate):
+        table = self.table(False)
+        estimate(table)  # first call pays any one-time set-up
+        tracemalloc.start()
+        try:
+            estimate(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * table.counts.nbytes, \
+            f"peak {peak / table.counts.nbytes:.2f}x counts.nbytes"
