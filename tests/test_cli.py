@@ -553,15 +553,23 @@ class TestExitCodes:
         assert '"statistic": 20.06770267' in out
 
 
-GOLDEN = Path(__file__).parent / "golden" / "readme_examples.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _fixture_args(argv):
-    return [str(fixture_path(arg[:-len(".csv")])) if arg.endswith(".csv") else arg
-            for arg in argv]
+    """Resolve ``*.csv`` arguments: a file in ``golden/`` if there is
+    one by that name, otherwise the bundled fixture."""
+    def resolve(arg):
+        local = GOLDEN_DIR / arg
+        return str(local if local.exists() else fixture_path(arg[:-len(".csv")]))
+    return [resolve(arg) if arg.endswith(".csv") else arg for arg in argv]
 
 
-@pytest.mark.parametrize("example", json.loads(GOLDEN.read_text()),
+def _golden(name):
+    return json.loads((GOLDEN_DIR / name).read_text())
+
+
+@pytest.mark.parametrize("example", _golden("readme_examples.json"),
                          ids=lambda example: " ".join(example["argv"][:2]))
 def test_readme_example_json_is_unchanged(capsys, example):
     """Every README example's JSON stdout, byte for byte as recorded in
@@ -570,3 +578,15 @@ def test_readme_example_json_is_unchanged(capsys, example):
     code, out, err = run_cli(capsys, *_fixture_args(example["argv"]))
     assert code == 0, err
     assert out == example["stdout"]
+
+
+@pytest.mark.parametrize("example", _golden("cli_outputs.json"),
+                         ids=lambda example: " ".join(example["argv"]))
+def test_cli_output_is_unchanged(capsys, example):
+    """Exit code, stdout and stderr of the README examples in text form,
+    the benchmark's CLI commands (``golden/records.csv`` standing in for
+    its large record file), each calibration scheme and some input and
+    domain errors, in text and JSON, byte for byte as recorded in
+    ``golden/cli_outputs.json``."""
+    code, out, err = run_cli(capsys, *_fixture_args(example["argv"]))
+    assert (code, out, err) == (example["exit_code"], example["stdout"], example["stderr"])
