@@ -5,6 +5,8 @@ marginal, and conditional probability estimates), ``test``
 (independence, homogeneity, linear association, one proportion),
 ``assoc`` (odds ratios and scored correlation), ``dist`` (PMF
 evaluation), and ``simulate`` (null calibration and interval coverage).
+Each command ("test independence", "dist poisson", ...) is one entry
+of ``_COMMANDS``: a compute function and a text renderer.
 
 Output is plain text or a deterministic JSON envelope with fixed keys
 ``version``, ``input_digest``, ``command``, ``results``, ``warnings``;
@@ -16,6 +18,7 @@ produce byte-identical reports. Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -132,10 +135,12 @@ def _parse_axis_scores(text: str) -> list[float]:
         raise InputFormatError(f"bad score list {text!r}") from None
 
 
-def _parse_scores(text: str) -> ScoreAssignment:
+def _parse_scores(text: str | None) -> ScoreAssignment | None:
     """Row and column scores: two colon ranges separated by a comma
     ("1:5,1:5") or two comma lists separated by a semicolon
-    ("1,2;1,2,3")."""
+    ("1,2;1,2,3"); None when no scores are given."""
+    if not text:
+        return None
     if ";" in text:
         parts = text.split(";")
     else:
@@ -231,103 +236,17 @@ def _prob_grid(row_labels, col_labels, matrix, row_extra=None,
 
 
 def _render_test_line(name: str, payload: dict) -> str:
-    stat = payload["statistic"]
-    line = (f"  {name}: statistic = {stat:.6g}, df = {payload['df']}, "
-            f"p = {payload['p_value']:.4g}")
-    return line
-
-
-def _render_text(command: str, results: dict, warnings: list[str]) -> str:
-    lines = [_styled(command)]
-    lines.extend(_render_results_text(command, results))
-    for w in warnings:
-        lines.append(f"warning: {w}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_results_text(command: str, results: dict) -> list[str]:
-    lines: list[str] = []
-    if command.startswith("describe"):
-        lines.append(f"n = {results['n']}")
-        lines.append("")
-        lines.append("Joint and marginal probability estimates")
-        lines.extend(_prob_grid(results["row_labels"], results["col_labels"],
-                                results["joint"],
-                                row_extra=results["row_marginal"],
-                                col_extra=results["col_marginal"], corner=1.0))
-        if "conditional" in results:
-            cond = results["conditional"]
-            lines.append("")
-            lines.append(f"Conditional probability estimates given {cond['given']}")
-            matrix = cond["matrix"]
-            if cond["given"] == "rows":
-                lines.extend(_prob_grid(results["row_labels"],
-                                        results["col_labels"], matrix,
-                                        row_extra=[sum(row) for row in matrix]))
-            else:
-                lines.extend(_prob_grid(results["row_labels"],
-                                        results["col_labels"], matrix,
-                                        col_extra=[sum(c) for c in zip(*matrix)]))
-    elif command in ("test independence", "test homogeneity"):
-        lines.append(f"hypothesis: no association ({results['hypothesis']})")
-        lines.append(_render_test_line("Pearson chi-square", results["pearson"]))
-        lines.append(_render_test_line("Deviance", results["deviance"]))
-    elif command == "test linear":
-        lines.append(f"correlation r = {results['correlation']:.6g}")
-        lines.append(_render_test_line("Linear association",
-                                       results["mantel_haenszel"]))
-    elif command == "test proportion":
-        lines.append(f"estimate = {results['estimate']:.6g} "
-                     f"(SE = {results['estimate_se']:.6g}), "
-                     f"null = {results['null']:.6g}")
-        score = results["score"]
-        lines.append(f"  score test: z = {score['statistic']:.6g}, "
-                     f"p = {score['p_value']:.4g} ({score['sidedness']})")
-        if "wald" in results:
-            lines.append(_render_test_line("Wald test", results["wald"]))
-        lines.append(_render_test_line("Likelihood-ratio test",
-                                       results["likelihood_ratio"]))
-        ci = results["confidence_interval"]
-        verdict = ("contains" if ci["contains_null"] else "excludes")
-        lines.append(f"  {ci['level'] * 100:g}% CI: ({ci['lower']:.6g}, "
-                     f"{ci['upper']:.6g}) -- {verdict} the null value")
-    elif command == "assoc odds-ratio":
-        for col, value in results["odds"].items():
-            txt = "undefined" if value is None else f"{value:.6g}"
-            lines.append(f"  odds ({results['rows'][0]} vs {results['rows'][1]}) "
-                         f"given {col}: {txt}")
-        lines.append(f"  odds ratio: {results['odds_ratio']:.6g}")
-        lines.append(f"  odds ratio (columns swapped): "
-                     f"{results['odds_ratio_swapped']:.6g}")
-    elif command == "assoc correlation":
-        lines.append(f"  correlation r = {results['correlation']:.6g}")
-    elif command.startswith("dist"):
-        for key, value in results.items():
-            if isinstance(value, float):
-                lines.append(f"  {key} = {value:.10g}")
-            else:
-                lines.append(f"  {key} = {value}")
-    elif command == "simulate calibrate":
-        lines.append(f"  statistic: {results['test']}, replicates = "
-                     f"{results['replicates']}, seed = {results['seed']}")
-        lines.append(f"  empirical mean = {results['empirical_mean']:.6g} "
-                     f"(reference df = {results['reference_df']})")
-        for alpha, rate in results["rejection_rates"].items():
-            lines.append(f"  rejection rate at alpha={alpha}: {rate:.4f}")
-    elif command == "simulate coverage":
-        lines.append(f"  empirical coverage = {results['coverage']:.4f} "
-                     f"(target level {results['level']:g})")
-    else:
-        for key, value in results.items():
-            lines.append(f"  {key} = {value}")
-    return lines
+    return (f"  {name}: statistic = {payload['statistic']:.6g}, "
+            f"df = {payload['df']}, p = {payload['p_value']:.4g}")
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (results, warnings, digest payload)
+# Commands: each compute function returns (results, warnings, digest
+# payload) and each renderer the text lines of its results; _COMMANDS
+# pairs them by command string.
 
 
-def _cmd_describe(args):
+def _describe(args):
     table = _load_table(args)
     est = joint_probabilities(table)
     results = {
@@ -346,95 +265,133 @@ def _cmd_describe(args):
     return results, [], _table_payload(table)
 
 
-def _cmd_test(args):
-    warnings: list[str] = []
-    if args.which == "proportion":
-        y, n, pi0 = args.successes, args.trials, args.null
-        if y is None or n is None:
-            raise InputFormatError("--successes and --trials are required")
-        if pi0 is None:
-            raise InputFormatError("--null is required for the proportion test")
-        estimate, se = mle_proportion(y, n)
-        score = score_test_proportion(y, n, pi0, _SIDEDNESS[args.sided])
-        score_payload = _test_payload(score)
-        score_payload["null_se"] = math.sqrt(pi0 * (1 - pi0) / n)
-        results = {
-            "successes": y, "trials": n, "null": pi0,
-            "estimate": estimate, "estimate_se": se,
-            "score": score_payload,
-        }
-        if 0 < y < n:
-            results["wald"] = _test_payload(wald_test_proportion(y, n, pi0))
+def _render_describe(results: dict) -> list[str]:
+    labels = results["row_labels"], results["col_labels"]
+    lines = [f"n = {results['n']}", "", "Joint and marginal probability estimates",
+             *_prob_grid(*labels, results["joint"], row_extra=results["row_marginal"],
+                         col_extra=results["col_marginal"], corner=1.0)]
+    if "conditional" in results:
+        cond = results["conditional"]
+        matrix = cond["matrix"]
+        lines += ["", f"Conditional probability estimates given {cond['given']}"]
+        if cond["given"] == "rows":
+            lines += _prob_grid(*labels, matrix, row_extra=[sum(row) for row in matrix])
         else:
-            warnings.append("Wald test omitted: standard error at the boundary "
-                            "estimate is zero")
-        lr, detail = lr_test_proportion(y, n, pi0)
-        lr_payload = _test_payload(lr)
-        lr_payload["log_l0"] = detail.log_l0
-        lr_payload["log_l1"] = detail.log_l1
-        results["likelihood_ratio"] = lr_payload
-        ci = wald_ci(y, n, args.level)
-        if ci.degenerate:
-            warnings.append("confidence interval is degenerate (zero width) "
-                            "at a boundary estimate")
-        results["confidence_interval"] = {
-            "estimate": ci.estimate, "lower": ci.lower, "upper": ci.upper,
-            "level": ci.level, "standard_error": ci.standard_error,
-            "contains_null": ci.contains(pi0),
-        }
-        return results, warnings, {"command": "test proportion",
-                                   "successes": y, "trials": n}
+            lines += _prob_grid(*labels, matrix, col_extra=[sum(c) for c in zip(*matrix)])
+    return lines
 
-    table = _load_table(args)
-    if args.which in ("independence", "homogeneity"):
-        runner = independence_test if args.which == "independence" else homogeneity_test
-        pearson, deviance, expected = runner(table)
-        if pearson.small_cell_warning:
-            warnings.append("some expected frequencies are below 5; the "
-                            "chi-square approximation may be inaccurate")
-        results = {
-            "hypothesis": args.which,
-            "pearson": _test_payload(pearson),
-            "deviance": _test_payload(deviance),
-            "expected": expected.values,
-        }
-        return results, warnings, _table_payload(table)
 
-    # linear association
-    scores = _parse_scores(args.scores) if args.scores else None
-    res = mantel_haenszel_test(table, scores)
-    if scores is None:
-        scores = default_scores(table)
-    r = pearson_correlation(table, scores)
+def _proportion(args):
+    y, n, pi0 = args.successes, args.trials, args.null
+    if y is None or n is None:
+        raise InputFormatError("--successes and --trials are required")
+    if pi0 is None:
+        raise InputFormatError("--null is required for the proportion test")
+    warnings: list[str] = []
+    estimate, se = mle_proportion(y, n)
+    score = score_test_proportion(y, n, pi0, _SIDEDNESS[args.sided])
     results = {
-        "row_scores": list(scores.row_scores),
-        "col_scores": list(scores.col_scores),
-        "correlation": r,
-        "mantel_haenszel": _test_payload(res),
+        "successes": y, "trials": n, "null": pi0,
+        "estimate": estimate, "estimate_se": se,
+        "score": {**_test_payload(score), "null_se": math.sqrt(pi0 * (1 - pi0) / n)},
+    }
+    if 0 < y < n:
+        results["wald"] = _test_payload(wald_test_proportion(y, n, pi0))
+    else:
+        warnings.append("Wald test omitted: standard error at the boundary "
+                        "estimate is zero")
+    lr, detail = lr_test_proportion(y, n, pi0)
+    results["likelihood_ratio"] = {**_test_payload(lr), "log_l0": detail.log_l0,
+                                   "log_l1": detail.log_l1}
+    ci = wald_ci(y, n, args.level)
+    if ci.degenerate:
+        warnings.append("confidence interval is degenerate (zero width) "
+                        "at a boundary estimate")
+    results["confidence_interval"] = {
+        "estimate": ci.estimate, "lower": ci.lower, "upper": ci.upper,
+        "level": ci.level, "standard_error": ci.standard_error,
+        "contains_null": ci.contains(pi0),
+    }
+    return results, warnings, {"command": "test proportion",
+                               "successes": y, "trials": n}
+
+
+def _render_proportion(results: dict) -> list[str]:
+    score = results["score"]
+    lines = [f"estimate = {results['estimate']:.6g} "
+             f"(SE = {results['estimate_se']:.6g}), null = {results['null']:.6g}",
+             f"  score test: z = {score['statistic']:.6g}, "
+             f"p = {score['p_value']:.4g} ({score['sidedness']})"]
+    if "wald" in results:
+        lines.append(_render_test_line("Wald test", results["wald"]))
+    lines.append(_render_test_line("Likelihood-ratio test", results["likelihood_ratio"]))
+    ci = results["confidence_interval"]
+    verdict = "contains" if ci["contains_null"] else "excludes"
+    lines.append(f"  {ci['level'] * 100:g}% CI: ({ci['lower']:.6g}, "
+                 f"{ci['upper']:.6g}) -- {verdict} the null value")
+    return lines
+
+
+def _chisq(args, runner):
+    table = _load_table(args)
+    pearson, deviance, expected = runner(table)
+    warnings = (["some expected frequencies are below 5; the chi-square "
+                 "approximation may be inaccurate"] if pearson.small_cell_warning else [])
+    results = {
+        "hypothesis": args.which,
+        "pearson": _test_payload(pearson),
+        "deviance": _test_payload(deviance),
+        "expected": expected.values,
     }
     return results, warnings, _table_payload(table)
 
 
-def _cmd_assoc(args):
+def _render_chisq(results: dict) -> list[str]:
+    return [f"hypothesis: no association ({results['hypothesis']})",
+            _render_test_line("Pearson chi-square", results["pearson"]),
+            _render_test_line("Deviance", results["deviance"])]
+
+
+def _scored_correlation(table: ContingencyTable, scores: ScoreAssignment | None) -> dict:
+    r = pearson_correlation(table, scores)
+    if scores is None:
+        scores = default_scores(table)
+    return {
+        "row_scores": list(scores.row_scores),
+        "col_scores": list(scores.col_scores),
+        "correlation": r,
+    }
+
+
+def _linear(args):
+    table = _load_table(args)
+    scores = _parse_scores(args.scores)
+    res = mantel_haenszel_test(table, scores)
+    results = _scored_correlation(table, scores)
+    results["mantel_haenszel"] = _test_payload(res)
+    return results, [], _table_payload(table)
+
+
+def _render_linear(results: dict) -> list[str]:
+    return [f"correlation r = {results['correlation']:.6g}",
+            _render_test_line("Linear association", results["mantel_haenszel"])]
+
+
+def _correlation(args):
+    table = _load_table(args)
+    return _scored_correlation(table, _parse_scores(args.scores)), [], _table_payload(table)
+
+
+def _odds_ratio(args):
     table = _load_table(args)
     warnings: list[str] = []
-    if args.which == "correlation":
-        scores = _parse_scores(args.scores) if args.scores else None
-        r = pearson_correlation(table, scores)
-        if scores is None:
-            scores = default_scores(table)
-        results = {
-            "row_scores": list(scores.row_scores),
-            "col_scores": list(scores.col_scores),
-            "correlation": r,
-        }
-        return results, warnings, _table_payload(table)
-
     rows = _parse_index_pair(args.rows, "--rows", table.n_rows)
     cols = _parse_index_pair(args.cols, "--cols", table.n_cols)
     ratio = odds_ratio(table, rows, cols, zero_correction=args.zero_correction)
     swapped = odds_ratio(table, rows, (cols[1], cols[0]),
                          zero_correction=args.zero_correction)
+    if ratio.estimate == swapped.estimate == math.inf:  # both cross products are 0
+        raise ValueError("both cross products are zero; odds ratio undefined")
     per_column = {}
     for col in cols:
         try:
@@ -456,63 +413,97 @@ def _cmd_assoc(args):
     return results, warnings, _table_payload(table)
 
 
-def _cmd_dist(args):
-    if args.which == "binomial":
-        if args.trials is None or args.prob is None or args.count is None:
-            raise InputFormatError("--trials, --prob and --count are required")
-        spec = BinomialSpec(args.trials, args.prob)
-        mean, variance = binomial_moments(spec)
-        results = {
-            "distribution": "binomial",
-            "trials": spec.trials, "success_prob": spec.success_prob,
-            "count": args.count,
-            "pmf": binomial_pmf(spec, args.count),
-            "log_pmf": binomial_log_pmf(spec, args.count),
-            "mean": mean, "variance": variance,
-        }
-    elif args.which == "multinomial":
-        if args.trials is None or not args.probs or not args.counts:
-            raise InputFormatError("--trials, --probs and --counts are required")
-        probs = _parse_float_list(args.probs, "--probs")
-        counts = _parse_int_list(args.counts, "--counts")
-        spec = MultinomialSpec(args.trials, tuple(probs))
-        results = {
-            "distribution": "multinomial",
-            "trials": spec.trials, "category_probs": list(spec.category_probs),
-            "counts": counts,
-            "pmf": multinomial_pmf(spec, counts),
-            "log_pmf": multinomial_log_pmf(spec, counts),
-        }
-    else:
-        if args.rate is None or args.count is None:
-            raise InputFormatError("--rate and --count are required")
-        spec = PoissonSpec(args.rate)
-        results = {
-            "distribution": "poisson",
-            "rate": spec.rate, "count": args.count,
-            "pmf": poisson_pmf(spec, args.count),
-            "log_pmf": poisson_log_pmf(spec, args.count),
-            "mean": spec.rate, "variance": spec.rate,
-        }
+def _render_odds_ratio(results: dict) -> list[str]:
+    lines = []
+    for col, value in results["odds"].items():
+        txt = "undefined" if value is None else f"{value:.6g}"
+        lines.append(f"  odds ({results['rows'][0]} vs {results['rows'][1]}) "
+                     f"given {col}: {txt}")
+    lines.append(f"  odds ratio: {results['odds_ratio']:.6g}")
+    lines.append(f"  odds ratio (columns swapped): {results['odds_ratio_swapped']:.6g}")
+    return lines
+
+
+def _dist_report(results: dict):
     payload = {k: v for k, v in results.items() if k not in ("pmf", "log_pmf")}
     return results, [], payload
 
 
-# The options each sampling scheme takes, all of them required. Any
-# other scheme option given is an input error rather than silently
-# ignored: binomial-rows, for one, has no row margin to draw.
-_SCHEME_OPTIONS = {
-    "multinomial": ("--n", "--row-marginals", "--col-marginals"),
-    "binomial-rows": ("--row-totals", "--col-marginals"),
-    "poisson": ("--total-rate", "--row-marginals", "--col-marginals"),
+def _binomial(args):
+    if args.trials is None or args.prob is None or args.count is None:
+        raise InputFormatError("--trials, --prob and --count are required")
+    spec = BinomialSpec(args.trials, args.prob)
+    mean, variance = binomial_moments(spec)
+    return _dist_report({
+        "distribution": "binomial",
+        "trials": spec.trials, "success_prob": spec.success_prob,
+        "count": args.count,
+        "pmf": binomial_pmf(spec, args.count),
+        "log_pmf": binomial_log_pmf(spec, args.count),
+        "mean": mean, "variance": variance,
+    })
+
+
+def _multinomial(args):
+    if args.trials is None or not args.probs or not args.counts:
+        raise InputFormatError("--trials, --probs and --counts are required")
+    probs = _parse_float_list(args.probs, "--probs")
+    counts = _parse_int_list(args.counts, "--counts")
+    spec = MultinomialSpec(args.trials, tuple(probs))
+    return _dist_report({
+        "distribution": "multinomial",
+        "trials": spec.trials, "category_probs": list(spec.category_probs),
+        "counts": counts,
+        "pmf": multinomial_pmf(spec, counts),
+        "log_pmf": multinomial_log_pmf(spec, counts),
+    })
+
+
+def _poisson(args):
+    if args.rate is None or args.count is None:
+        raise InputFormatError("--rate and --count are required")
+    spec = PoissonSpec(args.rate)
+    return _dist_report({
+        "distribution": "poisson",
+        "rate": spec.rate, "count": args.count,
+        "pmf": poisson_pmf(spec, args.count),
+        "log_pmf": poisson_log_pmf(spec, args.count),
+        "mean": spec.rate, "variance": spec.rate,
+    })
+
+
+def _render_dist(results: dict) -> list[str]:
+    return [f"  {key} = {value:.10g}" if isinstance(value, float) else f"  {key} = {value}"
+            for key, value in results.items()]
+
+
+def _joint(args) -> np.ndarray:
+    return np.outer(_parse_float_list(args.row_marginals, "--row-marginals"),
+                    _parse_float_list(args.col_marginals, "--col-marginals"))
+
+
+def _binomial_rows_scheme(args) -> SamplingScheme:
+    col_marg = _parse_float_list(args.col_marginals, "--col-marginals")
+    totals = _parse_int_list(args.row_totals, "--row-totals")
+    return SamplingScheme.binomial_rows(totals, np.tile(np.asarray(col_marg), (len(totals), 1)))
+
+
+# Each --scheme: the options it takes, all of them required, and its
+# builder. Any other scheme option given is an input error rather than
+# silently ignored: binomial-rows, for one, has no row margin to draw.
+_SCHEMES = {
+    "multinomial": (("--n", "--row-marginals", "--col-marginals"),
+                    lambda args: SamplingScheme.multinomial(args.n, _joint(args))),
+    "binomial-rows": (("--row-totals", "--col-marginals"), _binomial_rows_scheme),
+    "poisson": (("--total-rate", "--row-marginals", "--col-marginals"),
+                lambda args: SamplingScheme.poisson(args.total_rate * _joint(args))),
 }
+_SCHEME_FLAGS = tuple(dict.fromkeys(flag for takes, _ in _SCHEMES.values() for flag in takes))
 
 
 def _scheme_from_args(args) -> SamplingScheme:
-    takes = _SCHEME_OPTIONS[args.scheme]
-    given = {flag: getattr(args, flag[2:].replace("-", "_"))
-             for flag in ("--n", "--row-marginals", "--col-marginals",
-                          "--row-totals", "--total-rate")}
+    takes, build = _SCHEMES[args.scheme]
+    given = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _SCHEME_FLAGS}
     for flag, value in given.items():
         if value is not None and flag not in takes:
             raise InputFormatError(
@@ -522,52 +513,20 @@ def _scheme_from_args(args) -> SamplingScheme:
         raise InputFormatError(
             f"{', '.join(takes[:-1])} and {takes[-1]} are required for the "
             f"{args.scheme} scheme")
-    if args.scheme == "binomial-rows":
-        col_marg = _parse_float_list(args.col_marginals, "--col-marginals")
-        totals = _parse_int_list(args.row_totals, "--row-totals")
-        probs = np.tile(np.asarray(col_marg), (len(totals), 1))
-        return SamplingScheme.binomial_rows(totals, probs)
-    joint = np.outer(_parse_float_list(args.row_marginals, "--row-marginals"),
-                     _parse_float_list(args.col_marginals, "--col-marginals"))
-    if args.scheme == "multinomial":
-        return SamplingScheme.multinomial(args.n, joint)
-    return SamplingScheme.poisson(args.total_rate * joint)
+    return build(args)
 
 
 def _scheme_payload(scheme: SamplingScheme) -> dict:
-    payload: dict = {"kind": scheme.kind.value}
-    if scheme.cell_rates is not None:
-        payload["cell_rates"] = scheme.cell_rates
-    if scheme.row_totals is not None:
-        payload["row_totals"] = list(scheme.row_totals)
-        payload["row_probs"] = scheme.row_probs
-    if scheme.total is not None:
-        payload["total"] = scheme.total
-        payload["joint_probs"] = scheme.joint_probs
-    return payload
+    return {"kind": scheme.kind.value,
+            **{f.name: getattr(scheme, f.name) for f in dataclasses.fields(scheme)}}
 
 
-def _cmd_simulate(args):
+def _calibrate(args):
     if args.seed is None:
         raise InputFormatError("--seed is required for simulate commands")
-    if args.which == "coverage":
-        if args.pi is None or args.trials is None:
-            raise InputFormatError("--pi and --trials are required")
-        coverage = coverage_wald_ci(args.pi, args.trials, args.level,
-                                    args.replicates, args.seed)
-        results = {
-            "true_pi": args.pi, "trials": args.trials, "level": args.level,
-            "replicates": args.replicates, "seed": args.seed,
-            "rng_algorithm": RNG_ALGORITHM,
-            "coverage": coverage,
-        }
-        return results, [], {k: results[k] for k in
-                             ("true_pi", "trials", "level", "replicates", "seed")}
-
     scheme = _scheme_from_args(args)
     test = args.test.replace("-", "_")
-    scores = _parse_scores(args.scores) if args.scores else None
-    report = calibrate_null(scheme, test, args.replicates, args.seed, scores)
+    report = calibrate_null(scheme, test, args.replicates, args.seed, _parse_scores(args.scores))
     results = {
         "scheme": _scheme_payload(scheme),
         "test": report.statistic_kind.value,
@@ -579,9 +538,55 @@ def _cmd_simulate(args):
         "rejection_rates": {format(a, ".10g"): r
                             for a, r in report.rejection_rates.items()},
     }
-    digest_payload = {"scheme": _scheme_payload(scheme), "test": test,
-                      "replicates": args.replicates, "seed": args.seed}
-    return results, [], digest_payload
+    return results, [], {"scheme": results["scheme"], "test": test,
+                         "replicates": args.replicates, "seed": args.seed}
+
+
+def _render_calibrate(results: dict) -> list[str]:
+    return [f"  statistic: {results['test']}, replicates = {results['replicates']}, "
+            f"seed = {results['seed']}",
+            f"  empirical mean = {results['empirical_mean']:.6g} "
+            f"(reference df = {results['reference_df']})",
+            *(f"  rejection rate at alpha={alpha}: {rate:.4f}"
+              for alpha, rate in results["rejection_rates"].items())]
+
+
+def _coverage(args):
+    if args.seed is None:
+        raise InputFormatError("--seed is required for simulate commands")
+    if args.pi is None or args.trials is None:
+        raise InputFormatError("--pi and --trials are required")
+    coverage = coverage_wald_ci(args.pi, args.trials, args.level, args.replicates, args.seed)
+    results = {
+        "true_pi": args.pi, "trials": args.trials, "level": args.level,
+        "replicates": args.replicates, "seed": args.seed,
+        "rng_algorithm": RNG_ALGORITHM,
+        "coverage": coverage,
+    }
+    return results, [], {k: results[k] for k in
+                         ("true_pi", "trials", "level", "replicates", "seed")}
+
+
+# The library functions are looked up when a command runs, not bound
+# here, so that a caller who replaces one in this module (a tracer, a
+# test double) is heard.
+_COMMANDS = {
+    "describe": (_describe, _render_describe),
+    "test independence": (lambda args: _chisq(args, independence_test), _render_chisq),
+    "test homogeneity": (lambda args: _chisq(args, homogeneity_test), _render_chisq),
+    "test linear": (_linear, _render_linear),
+    "test proportion": (_proportion, _render_proportion),
+    "assoc odds-ratio": (_odds_ratio, _render_odds_ratio),
+    "assoc correlation": (_correlation,
+                          lambda results: [f"  correlation r = {results['correlation']:.6g}"]),
+    "dist binomial": (_binomial, _render_dist),
+    "dist multinomial": (_multinomial, _render_dist),
+    "dist poisson": (_poisson, _render_dist),
+    "simulate calibrate": (_calibrate, _render_calibrate),
+    "simulate coverage": (_coverage, lambda results: [
+        f"  empirical coverage = {results['coverage']:.4f} "
+        f"(target level {results['level']:g})"]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +615,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also show conditional probabilities given this axis")
     p.add_argument("--emit-counts", action="store_true",
                    help="print the parsed table back out as a counts CSV")
-    p.set_defaults(handler=_cmd_describe)
 
     p = sub.add_parser("test", help="hypothesis tests")
     p.add_argument("which", choices=("independence", "homogeneity", "linear",
@@ -624,7 +628,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="alternative for the score z test")
     p.add_argument("--level", type=float, default=0.95,
                    help="confidence level for the Wald interval")
-    p.set_defaults(handler=_cmd_test)
 
     p = sub.add_parser("assoc", help="association measures")
     p.add_argument("which", choices=("odds-ratio", "correlation"))
@@ -636,7 +639,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-correction", action="store_true",
                    help="add 0.5 to each cell of the 2x2 sub-table")
     p.add_argument("--scores", help="row and column scores for correlation")
-    p.set_defaults(handler=_cmd_assoc)
 
     p = sub.add_parser("dist", help="probability mass evaluation")
     p.add_argument("which", choices=("binomial", "multinomial", "poisson"))
@@ -647,15 +649,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", help="multinomial category probabilities, e.g. .2,.8")
     p.add_argument("--counts", help="multinomial category counts, e.g. 7,3")
     p.add_argument("--rate", type=float, help="Poisson rate")
-    p.set_defaults(handler=_cmd_dist)
 
     p = sub.add_parser("simulate", help="Monte Carlo calibration")
     p.add_argument("which", choices=("calibrate", "coverage"))
     _add_common(p)
     p.add_argument("--seed", type=int, help="64-bit RNG seed (required)")
     p.add_argument("--replicates", type=int, default=10000)
-    p.add_argument("--scheme", choices=("multinomial", "binomial-rows", "poisson"),
-                   default="multinomial")
+    p.add_argument("--scheme", choices=tuple(_SCHEMES), default="multinomial")
     p.add_argument("--test", choices=("pearson", "deviance", "mantel-haenszel"),
                    default="pearson")
     p.add_argument("--n", type=int, help="multinomial total")
@@ -667,7 +667,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=float, help="true proportion for coverage")
     p.add_argument("--trials", type=int, help="binomial trials for coverage")
     p.add_argument("--level", type=float, default=0.95)
-    p.set_defaults(handler=_cmd_simulate)
 
     return parser
 
@@ -676,33 +675,16 @@ def run(args: argparse.Namespace) -> str:
     """Execute a parsed request and return the rendered report."""
     if getattr(args, "emit_counts", False):
         return counts_csv_text(_load_table(args))
-    results, warnings, digest_payload = args.handler(args)
     which = getattr(args, "which", None)
     command = args.command if which is None else f"{args.command} {which}"
+    compute, render = _COMMANDS[command]
+    results, warnings, digest_payload = compute(args)
     if args.format == "json":
-        envelope = {
-            "version": __version__,
-            "input_digest": _digest(digest_payload),
-            "command": command,
-            "results": results,
-            "warnings": warnings,
-        }
+        envelope = {"version": __version__, "input_digest": _digest(digest_payload),
+                    "command": command, "results": results, "warnings": warnings}
         return _json_dumps(envelope) + "\n"
-    return _render_text(command, _to_plain(results), warnings)
-
-
-def _to_plain(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+    lines = [_styled(command), *render(results), *(f"warning: {w}" for w in warnings)]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -77,8 +77,8 @@ class PoissonSpec:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
 
 
 def binomial_log_pmf(spec: BinomialSpec, y: int) -> float:

@@ -1,9 +1,10 @@
 """Seeded Monte Carlo engine for the three table-generating processes.
 
-Supports Poisson sampling (every cell an independent Poisson count,
-nothing fixed), row-fixed binomial/multinomial sampling (each row an
-independent draw with its design-fixed total), and total-fixed
-multinomial sampling (one draw of size n over all cells). On top of the
+Each process is one ``SamplingScheme`` subclass that holds, checks and
+draws from only its own parameters: ``PoissonScheme`` (every cell an
+independent Poisson count, nothing fixed), ``BinomialRowsScheme`` (each
+row an independent multinomial draw of its design-fixed total) and
+``MultinomialScheme`` (one draw of size n over all cells). On top of the
 sampler sit two calibration tools: null-distribution calibration of the
 chi-square tests and empirical coverage of the Wald interval.
 
@@ -14,6 +15,7 @@ The generator (numpy PCG64) is recorded in calibration reports.
 
 from __future__ import annotations
 
+import abc
 import enum
 import math
 from dataclasses import dataclass
@@ -23,7 +25,6 @@ import numpy as np
 from .association import ScoreAssignment, _integer_scores
 from .inference import (
     StatisticKind,
-    homogeneity_test,
     independence_test,
     mantel_haenszel_test,
     wald_ci,
@@ -33,6 +34,9 @@ from .table import ContingencyTable
 __all__ = [
     "SchemeKind",
     "SamplingScheme",
+    "PoissonScheme",
+    "BinomialRowsScheme",
+    "MultinomialScheme",
     "CalibrationReport",
     "RNG_ALGORITHM",
     "sample_table",
@@ -43,6 +47,7 @@ __all__ = [
 RNG_ALGORITHM = "numpy-pcg64"
 
 _NULL_TOL = 1e-9
+_INT64_MAX = int(np.iinfo(np.int64).max)
 _MIN_CALIBRATION_REPLICATES = 1000
 
 
@@ -53,96 +58,134 @@ class SchemeKind(str, enum.Enum):
 
 
 def _frozen_float_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValueError(f"{name} must be a matrix with >= 2 rows and columns, "
                          f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
-class SamplingScheme:
-    """Tagged description of how a table is generated.
+def _check_total(total: int, name: str) -> None:
+    if total > _INT64_MAX:
+        raise ValueError(f"{name} must be <= {_INT64_MAX}, got {total}")
 
-    Use the :meth:`poisson`, :meth:`binomial_rows` and
-    :meth:`multinomial` constructors rather than filling fields by hand.
-    """
+
+class SamplingScheme(abc.ABC):
+    """How a table is generated: one subclass per sampling process, each
+    holding only its own fields. Build one with :meth:`poisson`,
+    :meth:`binomial_rows` or :meth:`multinomial`."""
 
     kind: SchemeKind
-    cell_rates: np.ndarray | None = None       # poisson
-    row_totals: tuple[int, ...] | None = None  # binomial_rows_fixed
-    row_probs: np.ndarray | None = None        # binomial_rows_fixed
-    total: int | None = None                   # multinomial_total_fixed
-    joint_probs: np.ndarray | None = None      # multinomial_total_fixed
-
-    def __post_init__(self) -> None:
-        kind = SchemeKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind is SchemeKind.POISSON:
-            rates = _frozen_float_matrix(self.cell_rates, "cell_rates")
-            if np.any(rates <= 0.0):
-                raise ValueError("all Poisson cell rates must be > 0")
-            object.__setattr__(self, "cell_rates", rates)
-        elif kind is SchemeKind.BINOMIAL_ROWS_FIXED:
-            probs = _frozen_float_matrix(self.row_probs, "row_probs")
-            totals = tuple(int(t) for t in self.row_totals)
-            if len(totals) != probs.shape[0]:
-                raise ValueError("row_totals length must match row_probs rows")
-            if any(t < 0 for t in totals):
-                raise ValueError("row totals must be >= 0")
-            if sum(totals) < 1:
-                raise ValueError("at least one observation required")
-            if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-12):
-                raise ValueError("each row of row_probs must be a probability vector")
-            object.__setattr__(self, "row_totals", totals)
-            object.__setattr__(self, "row_probs", probs)
-        else:
-            joint = _frozen_float_matrix(self.joint_probs, "joint_probs")
-            total = int(self.total)
-            if total < 1:
-                raise ValueError(f"total must be >= 1, got {total}")
-            if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > 1e-12:
-                raise ValueError("joint_probs must be nonnegative and sum to 1")
-            object.__setattr__(self, "total", total)
-            object.__setattr__(self, "joint_probs", joint)
-
-    @classmethod
-    def poisson(cls, cell_rates) -> "SamplingScheme":
-        """Independent Poisson count in every cell; nothing fixed."""
-        return cls(SchemeKind.POISSON, cell_rates=cell_rates)
-
-    @classmethod
-    def binomial_rows(cls, row_totals, row_probs) -> "SamplingScheme":
-        """Design-fixed row totals; each row an independent multinomial
-        draw over the columns."""
-        return cls(SchemeKind.BINOMIAL_ROWS_FIXED,
-                   row_totals=tuple(row_totals), row_probs=row_probs)
-
-    @classmethod
-    def multinomial(cls, total, joint_probs) -> "SamplingScheme":
-        """One multinomial draw of fixed size over all cells."""
-        return cls(SchemeKind.MULTINOMIAL_TOTAL_FIXED,
-                   total=total, joint_probs=joint_probs)
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self.kind is SchemeKind.POISSON:
-            return self.cell_rates.shape
-        if self.kind is SchemeKind.BINOMIAL_ROWS_FIXED:
-            return self.row_probs.shape
-        return self.joint_probs.shape
+        return self.cell_probabilities().shape
+
+    @abc.abstractmethod
+    def cell_probabilities(self) -> np.ndarray:
+        """Implied joint cell probabilities."""
+
+    @abc.abstractmethod
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One int64 count matrix drawn from ``rng``."""
+
+    @staticmethod
+    def poisson(cell_rates) -> PoissonScheme:
+        return PoissonScheme(cell_rates)
+
+    @staticmethod
+    def binomial_rows(row_totals, row_probs) -> BinomialRowsScheme:
+        return BinomialRowsScheme(row_totals, row_probs)
+
+    @staticmethod
+    def multinomial(total, joint_probs) -> MultinomialScheme:
+        return MultinomialScheme(total, joint_probs)
+
+
+@dataclass(frozen=True)
+class PoissonScheme(SamplingScheme):
+    """Independent Poisson count in every cell; nothing fixed."""
+
+    kind = SchemeKind.POISSON
+    cell_rates: np.ndarray
+
+    def __post_init__(self) -> None:
+        rates = _frozen_float_matrix(self.cell_rates, "cell_rates")
+        if np.any(rates <= 0.0):
+            raise ValueError("all Poisson cell rates must be > 0")
+        object.__setattr__(self, "cell_rates", rates)
 
     def cell_probabilities(self) -> np.ndarray:
-        """Implied joint cell probabilities (rates normalized for the
-        Poisson scheme; rows weighted by their share of the grand total
-        for the row-fixed scheme)."""
-        if self.kind is SchemeKind.POISSON:
-            return self.cell_rates / self.cell_rates.sum()
-        if self.kind is SchemeKind.BINOMIAL_ROWS_FIXED:
-            weights = np.asarray(self.row_totals, dtype=float)
-            return self.row_probs * (weights / weights.sum())[:, None]
-        return np.asarray(self.joint_probs)
+        """The rates normalized to sum to 1."""
+        return self.cell_rates / self.cell_rates.sum()
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.poisson(self.cell_rates).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class BinomialRowsScheme(SamplingScheme):
+    """Design-fixed row totals; each row an independent multinomial draw
+    over the columns."""
+
+    kind = SchemeKind.BINOMIAL_ROWS_FIXED
+    row_totals: tuple[int, ...]
+    row_probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        probs = _frozen_float_matrix(self.row_probs, "row_probs")
+        totals = tuple(int(t) for t in self.row_totals)
+        if len(totals) != probs.shape[0]:
+            raise ValueError("row_totals length must match row_probs rows")
+        if any(t < 0 for t in totals):
+            raise ValueError("row totals must be >= 0")
+        if sum(totals) < 1:
+            raise ValueError("at least one observation required")
+        _check_total(sum(totals), "the sum of row_totals")
+        if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-12):
+            raise ValueError("each row of row_probs must be a probability vector")
+        object.__setattr__(self, "row_totals", totals)
+        object.__setattr__(self, "row_probs", probs)
+
+    def cell_probabilities(self) -> np.ndarray:
+        """Each row's probabilities weighted by its share of the grand
+        total."""
+        weights = np.asarray(self.row_totals, dtype=float)
+        return self.row_probs * (weights / weights.sum())[:, None]
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        rows = [rng.multinomial(t, p) for t, p in zip(self.row_totals, self.row_probs)]
+        return np.asarray(rows, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class MultinomialScheme(SamplingScheme):
+    """One multinomial draw of fixed size over all cells."""
+
+    kind = SchemeKind.MULTINOMIAL_TOTAL_FIXED
+    total: int
+    joint_probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        joint = _frozen_float_matrix(self.joint_probs, "joint_probs")
+        total = int(self.total)
+        if total < 1:
+            raise ValueError(f"total must be >= 1, got {total}")
+        _check_total(total, "total")
+        if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > 1e-12:
+            raise ValueError("joint_probs must be nonnegative and sum to 1")
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "joint_probs", joint)
+
+    def cell_probabilities(self) -> np.ndarray:
+        return self.joint_probs
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        flat = rng.multinomial(self.total, self.joint_probs.ravel())
+        return flat.reshape(self.joint_probs.shape).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -161,17 +204,6 @@ class CalibrationReport:
         return self.rejection_rates[alpha]
 
 
-def _draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
-    if scheme.kind is SchemeKind.POISSON:
-        return rng.poisson(scheme.cell_rates).astype(np.int64)
-    if scheme.kind is SchemeKind.BINOMIAL_ROWS_FIXED:
-        rows = [rng.multinomial(t, p)
-                for t, p in zip(scheme.row_totals, scheme.row_probs)]
-        return np.asarray(rows, dtype=np.int64)
-    flat = rng.multinomial(scheme.total, scheme.joint_probs.ravel())
-    return flat.reshape(scheme.shape).astype(np.int64)
-
-
 def _as_table(counts: np.ndarray) -> ContingencyTable:
     n_rows, n_cols = counts.shape
     return ContingencyTable(
@@ -185,7 +217,7 @@ def sample_table(scheme: SamplingScheme, seed: int) -> ContingencyTable:
     """Draw one table under the scheme. Identical (scheme, seed) pairs
     produce identical tables."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _as_table(_draw(scheme, rng))
+    return _as_table(scheme.draw(rng))
 
 
 def _require_null(scheme: SamplingScheme, test: StatisticKind,
@@ -252,17 +284,15 @@ def calibrate_null(
             f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")
     scores = _require_null(scheme, kind, scores)
 
-    homogeneity = scheme.kind is SchemeKind.BINOMIAL_ROWS_FIXED
     stats = np.empty(replicates)
     p_values = np.empty(replicates)
     children = np.random.SeedSequence(seed).spawn(replicates)
     for k, child in enumerate(children):
-        tab = _as_table(_draw(scheme, np.random.default_rng(child)))
+        tab = _as_table(scheme.draw(np.random.default_rng(child)))
         if kind is StatisticKind.MANTEL_HAENSZEL:
             res = mantel_haenszel_test(tab, scores)
         else:
-            pearson, deviance, _ = (homogeneity_test(tab) if homogeneity
-                                    else independence_test(tab))
+            pearson, deviance, _ = independence_test(tab)
             res = pearson if kind is StatisticKind.PEARSON_CHISQ else deviance
         stats[k] = res.statistic
         p_values[k] = res.p_value
@@ -287,14 +317,11 @@ def coverage_wald_ci(
         raise ValueError(f"true proportion must be interior, got {true_pi}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_total(trials, "trials")
     if replicates < _MIN_CALIBRATION_REPLICATES:
         raise ValueError(
             f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ys = rng.binomial(trials, true_pi, size=replicates)
-    covered = 0
-    for y in ys:
-        ci = wald_ci(int(y), trials, level)
-        if ci.contains(true_pi):
-            covered += 1
+    covered = sum(wald_ci(int(y), trials, level).contains(true_pi) for y in ys)
     return covered / replicates

@@ -547,6 +547,41 @@ class TestExitCodes:
             assert results[key]["df"] == 449 * 449
             assert 1e-6 < results[key]["p_value"] < 1.0 - 1e-6
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "calibrate", "--n", "100000000000000000000", "--row-marginals", ".5,.5",
+          "--col-marginals", ".5,.5"], "total must be <= 9223372036854775807"),
+        (["simulate", "calibrate", "--scheme", "binomial-rows",
+          "--row-totals", "100000000000000000000,5", "--col-marginals", ".5,.5"],
+         "the sum of row_totals must be <= 9223372036854775807"),
+        (["simulate", "coverage", "--pi", ".5", "--trials", "100000000000000000000"],
+         "trials must be <= 9223372036854775807"),
+        (["simulate", "calibrate", "--n", "100", "--row-marginals", "nan,.5",
+          "--col-marginals", ".5,.5"], "joint_probs must be finite"),
+        (["simulate", "calibrate", "--scheme", "binomial-rows", "--row-totals", "5,5",
+          "--col-marginals", "nan,.5"], "row_probs must be finite"),
+        (["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "nan",
+          "--row-marginals", ".5,.5", "--col-marginals", ".5,.5"], "cell_rates must be finite"),
+        (["dist", "poisson", "--rate", "inf", "--count", "3"], "rate must be finite"),
+    ])
+    def test_domain_error_out_of_range_parameter(self, capsys, argv, message):
+        seed = ["--replicates", "1000", "--seed", "1"] if argv[0] == "simulate" else []
+        code, out, err = run_cli(capsys, *argv, *seed)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("cattab: error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_domain_error_odds_ratio_zero_over_zero(self, capsys, tmp_path):
+        # Both cross products are zero; this read "inf" both ways round.
+        path = tmp_path / "zero_row.csv"
+        path.write_text("table,x,y\na,0,0\nb,3,4\n")
+        code, out, err = run_cli(capsys, "assoc", "odds-ratio", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert "odds ratio undefined" in err
+        env = run_json(capsys, "assoc", "odds-ratio", "--input", str(path),
+                       "--zero-correction")
+        assert env["results"]["odds_ratio"] == pytest.approx(0.5 * 4.5 / (3.5 * 0.5))
+
     def test_json_number_formatting(self, capsys):
         _, out, _ = run_cli(capsys, "test", "independence", "--input",
                             SHOOTINGS, "--format", "json")

@@ -159,5 +159,8 @@ class TestPoisson:
             PoissonSpec(0.0)
         with pytest.raises(ValueError):
             PoissonSpec(-2.0)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                PoissonSpec(rate)
         with pytest.raises(ValueError):
             poisson_pmf(PoissonSpec(1.0), -1)

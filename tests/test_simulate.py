@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +21,61 @@ UNIFORM_2X2 = np.full((2, 2), 0.25)
 
 class TestSamplingScheme:
     def test_kind_round_trips_through_strings(self):
-        scheme = SamplingScheme("poisson", cell_rates=[[3.0, 4.0], [5.0, 6.0]])
-        assert scheme.kind is SchemeKind.POISSON
+        schemes = {
+            "poisson": SamplingScheme.poisson([[3.0, 4.0], [5.0, 6.0]]),
+            "binomial_rows_fixed": SamplingScheme.binomial_rows((10, 10), UNIFORM_2X2 * 2),
+            "multinomial_total_fixed": SamplingScheme.multinomial(100, UNIFORM_2X2),
+        }
+        for value, scheme in schemes.items():
+            assert isinstance(scheme, SamplingScheme)
+            assert scheme.kind is SchemeKind(value)
+            assert scheme.kind.value == value
+
+    def test_scheme_exposes_only_its_own_fields(self):
+        poisson = SamplingScheme.poisson([[3.0, 4.0], [5.0, 6.0]])
+        assert [f.name for f in dataclasses.fields(poisson)] == ["cell_rates"]
+        with pytest.raises(AttributeError):
+            poisson.total
+        rows = SamplingScheme.binomial_rows((10, 10), UNIFORM_2X2 * 2)
+        assert [f.name for f in dataclasses.fields(rows)] == ["row_totals", "row_probs"]
+        with pytest.raises(AttributeError):
+            rows.cell_rates
+        total = SamplingScheme.multinomial(100, UNIFORM_2X2)
+        assert [f.name for f in dataclasses.fields(total)] == ["total", "joint_probs"]
+        with pytest.raises(AttributeError):
+            total.row_totals
+        with pytest.raises(TypeError):
+            SamplingScheme.poisson([[3.0, 4.0], [5.0, 6.0]], total=7)
+
+    def test_caller_matrix_is_copied_not_frozen(self):
+        joint = np.full((2, 2), 0.25)
+        scheme = SamplingScheme.multinomial(100, joint)
+        assert joint.flags.writeable
+        assert not scheme.joint_probs.flags.writeable
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: SamplingScheme.poisson([[1.0, np.nan], [2.0, 3.0]]), "cell_rates"),
+        (lambda: SamplingScheme.poisson([[1.0, np.inf], [2.0, 3.0]]), "cell_rates"),
+        (lambda: SamplingScheme.binomial_rows((5, 5), [[np.nan, 0.5], [0.5, 0.5]]),
+         "row_probs"),
+        (lambda: SamplingScheme.multinomial(100, [[np.nan, 0.5], [0.25, 0.25]]),
+         "joint_probs"),
+    ], ids=["poisson-nan", "poisson-inf", "binomial_rows-nan", "multinomial-nan"])
+    def test_non_finite_parameters_rejected(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build()
+
+    def test_totals_above_int64_rejected(self):
+        big = 10**20
+        with pytest.raises(ValueError, match="total must be <= 9223372036854775807"):
+            SamplingScheme.multinomial(big, UNIFORM_2X2)
+        with pytest.raises(ValueError, match="sum of row_totals must be <= "):
+            SamplingScheme.binomial_rows((big, 5), UNIFORM_2X2 * 2)
+        # Each total fits, their sum does not.
+        half = 2**62
+        with pytest.raises(ValueError, match="sum of row_totals must be <= "):
+            SamplingScheme.binomial_rows((half, half), UNIFORM_2X2 * 2)
+        assert SamplingScheme.multinomial(2**63 - 1, UNIFORM_2X2).total == 2**63 - 1
 
     def test_poisson_requires_positive_rates(self):
         with pytest.raises(ValueError, match="> 0"):
@@ -193,3 +247,7 @@ class TestCoverage:
             coverage_wald_ci(0.5, 0, 0.95, 1000, seed=1)
         with pytest.raises(ValueError):
             coverage_wald_ci(0.5, 10, 0.95, 500, seed=1)
+
+    def test_trials_above_int64_rejected(self):
+        with pytest.raises(ValueError, match="trials must be <= 9223372036854775807"):
+            coverage_wald_ci(0.5, 10**20, 0.95, 1000, seed=1)
