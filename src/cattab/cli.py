@@ -241,9 +241,7 @@ def _render_test_line(name: str, payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each compute function returns (results, warnings, digest
-# payload) and each renderer the text lines of its results; _COMMANDS
-# pairs them by command string.
+# Commands: compute functions return (results, warnings, digest payload)
 
 
 def _describe(args):
@@ -335,8 +333,10 @@ def _render_proportion(results: dict) -> list[str]:
 def _chisq(args, runner):
     table = _load_table(args)
     pearson, deviance, expected = runner(table)
-    warnings = (["some expected frequencies are below 5; the chi-square "
-                 "approximation may be inaccurate"] if pearson.small_cell_warning else [])
+    warnings = []
+    if pearson.small_cell_warning:
+        warnings.append("some expected frequencies are below 5; the "
+                        "chi-square approximation may be inaccurate")
     results = {
         "hypothesis": args.which,
         "pearson": _test_payload(pearson),
@@ -567,9 +567,8 @@ def _coverage(args):
                          ("true_pi", "trials", "level", "replicates", "seed")}
 
 
-# The library functions are looked up when a command runs, not bound
-# here, so that a caller who replaces one in this module (a tracer, a
-# test double) is heard.
+# Library functions are looked up when a command runs, not bound here, so
+# that one replaced in this module (by a tracer, a test double) is called.
 _COMMANDS = {
     "describe": (_describe, _render_describe),
     "test independence": (lambda args: _chisq(args, independence_test), _render_chisq),
@@ -680,8 +679,13 @@ def run(args: argparse.Namespace) -> str:
     compute, render = _COMMANDS[command]
     results, warnings, digest_payload = compute(args)
     if args.format == "json":
-        envelope = {"version": __version__, "input_digest": _digest(digest_payload),
-                    "command": command, "results": results, "warnings": warnings}
+        envelope = {
+            "version": __version__,
+            "input_digest": _digest(digest_payload),
+            "command": command,
+            "results": results,
+            "warnings": warnings,
+        }
         return _json_dumps(envelope) + "\n"
     lines = [_styled(command), *render(results), *(f"warning: {w}" for w in warnings)]
     return "\n".join(lines) + "\n"

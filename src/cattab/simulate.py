@@ -68,9 +68,10 @@ def _frozen_float_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-def _check_total(total: int, name: str) -> None:
-    if total > _INT64_MAX:
-        raise ValueError(f"{name} must be <= {_INT64_MAX}, got {total}")
+def _total(value, name: str) -> int:
+    if not 0 <= value <= _INT64_MAX:  # NaN and infinities too
+        raise ValueError(f"{name} must be between 0 and {_INT64_MAX}, got {value}")
+    return int(value)
 
 
 class SamplingScheme(abc.ABC):
@@ -137,14 +138,12 @@ class BinomialRowsScheme(SamplingScheme):
 
     def __post_init__(self) -> None:
         probs = _frozen_float_matrix(self.row_probs, "row_probs")
-        totals = tuple(int(t) for t in self.row_totals)
+        totals = tuple(_total(t, "row_totals") for t in self.row_totals)
         if len(totals) != probs.shape[0]:
             raise ValueError("row_totals length must match row_probs rows")
-        if any(t < 0 for t in totals):
-            raise ValueError("row totals must be >= 0")
         if sum(totals) < 1:
             raise ValueError("at least one observation required")
-        _check_total(sum(totals), "the sum of row_totals")
+        _total(sum(totals), "the sum of row_totals")
         if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("each row of row_probs must be a probability vector")
         object.__setattr__(self, "row_totals", totals)
@@ -171,10 +170,9 @@ class MultinomialScheme(SamplingScheme):
 
     def __post_init__(self) -> None:
         joint = _frozen_float_matrix(self.joint_probs, "joint_probs")
-        total = int(self.total)
+        total = _total(self.total, "total")
         if total < 1:
             raise ValueError(f"total must be >= 1, got {total}")
-        _check_total(total, "total")
         if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > 1e-12:
             raise ValueError("joint_probs must be nonnegative and sum to 1")
         object.__setattr__(self, "total", total)
@@ -317,7 +315,7 @@ def coverage_wald_ci(
         raise ValueError(f"true proportion must be interior, got {true_pi}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_total(trials, "trials")
+    _total(trials, "trials")
     if replicates < _MIN_CALIBRATION_REPLICATES:
         raise ValueError(
             f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")

@@ -549,12 +549,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "calibrate", "--n", "100000000000000000000", "--row-marginals", ".5,.5",
-          "--col-marginals", ".5,.5"], "total must be <= 9223372036854775807"),
+          "--col-marginals", ".5,.5"], "total must be between 0 and 9223372036854775807"),
         (["simulate", "calibrate", "--scheme", "binomial-rows",
           "--row-totals", "100000000000000000000,5", "--col-marginals", ".5,.5"],
-         "the sum of row_totals must be <= 9223372036854775807"),
+         "row_totals must be between 0 and 9223372036854775807"),
         (["simulate", "coverage", "--pi", ".5", "--trials", "100000000000000000000"],
-         "trials must be <= 9223372036854775807"),
+         "trials must be between 0 and 9223372036854775807"),
         (["simulate", "calibrate", "--n", "100", "--row-marginals", "nan,.5",
           "--col-marginals", ".5,.5"], "joint_probs must be finite"),
         (["simulate", "calibrate", "--scheme", "binomial-rows", "--row-totals", "5,5",

@@ -67,14 +67,20 @@ class TestSamplingScheme:
 
     def test_totals_above_int64_rejected(self):
         big = 10**20
-        with pytest.raises(ValueError, match="total must be <= 9223372036854775807"):
+        with pytest.raises(ValueError, match="total must be between 0 and 9223372036854775807"):
             SamplingScheme.multinomial(big, UNIFORM_2X2)
-        with pytest.raises(ValueError, match="sum of row_totals must be <= "):
+        with pytest.raises(ValueError, match="row_totals must be between 0 and "):
             SamplingScheme.binomial_rows((big, 5), UNIFORM_2X2 * 2)
         # Each total fits, their sum does not.
         half = 2**62
-        with pytest.raises(ValueError, match="sum of row_totals must be <= "):
+        with pytest.raises(ValueError, match="sum of row_totals must be between 0 and "):
             SamplingScheme.binomial_rows((half, half), UNIFORM_2X2 * 2)
+        with pytest.raises(ValueError, match="total must be between 0 and "):
+            SamplingScheme.multinomial(math.inf, UNIFORM_2X2)
+        with pytest.raises(ValueError, match="row_totals must be between 0 and "):
+            SamplingScheme.binomial_rows((math.inf, 5), UNIFORM_2X2 * 2)
+        with pytest.raises(ValueError, match="row_totals must be between 0 and "):
+            SamplingScheme.binomial_rows((-math.inf, 5), UNIFORM_2X2 * 2)
         assert SamplingScheme.multinomial(2**63 - 1, UNIFORM_2X2).total == 2**63 - 1
 
     def test_poisson_requires_positive_rates(self):
@@ -249,5 +255,7 @@ class TestCoverage:
             coverage_wald_ci(0.5, 10, 0.95, 500, seed=1)
 
     def test_trials_above_int64_rejected(self):
-        with pytest.raises(ValueError, match="trials must be <= 9223372036854775807"):
+        with pytest.raises(ValueError, match="trials must be between 0 and 9223372036854775807"):
             coverage_wald_ci(0.5, 10**20, 0.95, 1000, seed=1)
+        with pytest.raises(ValueError, match="trials must be between 0 and "):
+            coverage_wald_ci(0.5, math.inf, 0.95, 1000, seed=1)
