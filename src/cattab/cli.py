@@ -118,7 +118,7 @@ def _table_payload(table: ContingencyTable) -> dict:
 # Argument parsing helpers
 
 
-def _parse_axis_scores(text: str) -> list[float]:
+def _parse_axis_scores(text: str, length: int, axis: str) -> list[float]:
     text = text.strip()
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
@@ -128,6 +128,10 @@ def _parse_axis_scores(text: str) -> list[float]:
             raise InputFormatError(f"bad score range {text!r}") from None
         if hi < lo:
             raise InputFormatError(f"empty score range {text!r}")
+        # Refused before it is built: a range such as 1:10**18 would
+        # exhaust memory rather than fail the length check later.
+        if hi - lo + 1 > length:
+            raise ValueError(f"need {length} {axis} scores, got {hi - lo + 1}")
         return [float(v) for v in range(lo, hi + 1)]
     try:
         return [float(v) for v in text.split(",") if v.strip()]
@@ -135,10 +139,10 @@ def _parse_axis_scores(text: str) -> list[float]:
         raise InputFormatError(f"bad score list {text!r}") from None
 
 
-def _parse_scores(text: str | None) -> ScoreAssignment | None:
-    """Row and column scores: two colon ranges separated by a comma
-    ("1:5,1:5") or two comma lists separated by a semicolon
-    ("1,2;1,2,3"); None when no scores are given."""
+def _parse_scores(text: str | None, shape: tuple[int, int]) -> ScoreAssignment | None:
+    """Row and column scores for a table of the given shape: two colon
+    ranges separated by a comma ("1:5,1:5") or two comma lists separated
+    by a semicolon ("1,2;1,2,3"); None when no scores are given."""
     if not text:
         return None
     if ";" in text:
@@ -149,8 +153,8 @@ def _parse_scores(text: str | None) -> ScoreAssignment | None:
         raise InputFormatError(
             f"bad --scores value {text!r}: expected ROWS,COLS with colon "
             "ranges, or ROWS;COLS with comma lists")
-    return ScoreAssignment(tuple(_parse_axis_scores(parts[0])),
-                           tuple(_parse_axis_scores(parts[1])))
+    return ScoreAssignment(tuple(_parse_axis_scores(parts[0], shape[0], "row")),
+                           tuple(_parse_axis_scores(parts[1], shape[1], "column")))
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -365,7 +369,7 @@ def _scored_correlation(table: ContingencyTable, scores: ScoreAssignment | None)
 
 def _linear(args):
     table = _load_table(args)
-    scores = _parse_scores(args.scores)
+    scores = _parse_scores(args.scores, table.shape)
     res = mantel_haenszel_test(table, scores)
     results = _scored_correlation(table, scores)
     results["mantel_haenszel"] = _test_payload(res)
@@ -379,7 +383,8 @@ def _render_linear(results: dict) -> list[str]:
 
 def _correlation(args):
     table = _load_table(args)
-    return _scored_correlation(table, _parse_scores(args.scores)), [], _table_payload(table)
+    scores = _parse_scores(args.scores, table.shape)
+    return _scored_correlation(table, scores), [], _table_payload(table)
 
 
 def _odds_ratio(args):
@@ -526,7 +531,8 @@ def _calibrate(args):
         raise InputFormatError("--seed is required for simulate commands")
     scheme = _scheme_from_args(args)
     test = args.test.replace("-", "_")
-    report = calibrate_null(scheme, test, args.replicates, args.seed, _parse_scores(args.scores))
+    scores = _parse_scores(args.scores, scheme.shape)
+    report = calibrate_null(scheme, test, args.replicates, args.seed, scores)
     results = {
         "scheme": _scheme_payload(scheme),
         "test": report.statistic_kind.value,
@@ -701,6 +707,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, IndexError) as exc:
         print(f"cattab: error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # e.g. --replicates 10**18
+        print(f"cattab: error: not enough memory for this request: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(output)
     return 0

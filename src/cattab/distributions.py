@@ -1,7 +1,13 @@
 """Binomial, multinomial, and Poisson sampling distributions.
 
-Probability masses are evaluated in log space through ``ln_gamma`` so
-large counts cannot overflow; each PMF also has a ``*_log_pmf`` twin.
+Probability masses are evaluated in log space, so large counts cannot
+overflow; each PMF also has a ``*_log_pmf`` twin. The log-pmfs use
+Loader's saddle-point form (C. Loader, 2000, "Fast and Accurate
+Computation of Binomial Probabilities"; the method behind R's dbinom and
+dpois): ln y! is split into Stirling's formula and its small error
+``_stirlerr(y)``, and the y ln(y / mu) terms are deviances ``_bd0(y, mu)``
+summed without cancellation near the mean. So no two large log-factorials
+cancel, and a log-pmf keeps its relative precision at counts of 1e18.
 Boundary success probabilities 0 and 1 are exact under the conventions
 0**0 == 1 and 0*ln(0) == 0.
 """
@@ -9,9 +15,8 @@ Boundary success probabilities 0 and 1 are exact under the conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-from .special import ln_gamma, xlogy
 
 __all__ = [
     "BinomialSpec",
@@ -28,6 +33,28 @@ __all__ = [
 
 _PROB_SUM_TOL = 1e-12
 
+_LN_2PI = 1.8378770664093456
+# _stirlerr(n) = ln(n!) - ln(sqrt(2 pi n) (n/e)^n) at n = 0..15, from a
+# 50-digit mpmath evaluation (0 at n = 0, where it is not used).
+_STIRLERR_SMALL = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+# Stirling series coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188.
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+
+
+def _as_integer(value, what: str) -> int:
+    # A count or number of trials: an int (numpy's too) or an integral
+    # float. The log-pmfs below are defined at integers only.
+    if not (isinstance(value, numbers.Integral)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class BinomialSpec:
@@ -41,6 +68,7 @@ class BinomialSpec:
     success_prob: float
 
     def __post_init__(self) -> None:
+        _as_integer(self.trials, "trials")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if not 0.0 <= self.success_prob <= 1.0:
@@ -57,6 +85,7 @@ class MultinomialSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "category_probs",
                            tuple(float(p) for p in self.category_probs))
+        _as_integer(self.trials, "trials")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if len(self.category_probs) < 2:
@@ -81,13 +110,65 @@ class PoissonSpec:
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")
 
 
+def _stirlerr(n: int) -> float:
+    """ln(n!) - ln(sqrt(2 pi n) (n/e)^n) for an integer count n >= 0:
+    exact values up to 15, the Stirling series above (Loader 2000)."""
+    if n <= 15:
+        return _STIRLERR_SMALL[int(n)]
+    n = float(n)
+    nn = n * n
+    if n > 500.0:
+        return (_S0 - _S1 / nn) / n
+    if n > 80.0:
+        return (_S0 - (_S1 - _S2 / nn) / nn) / n
+    if n > 35.0:
+        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """The deviance term x ln(x/m) + m - x >= 0 for x >= 0, m > 0
+    (Loader 2000). Near x = m, where the three terms nearly cancel, it
+    is the series 2x sum_j v^(2j+1)/(2j+1) - (x - m) v, with
+    v = (x - m)/(x + m) and |v| < 0.1."""
+    if x == 0.0:
+        return m
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        s = (x - m) * v
+        ej = 2.0 * x * v
+        v *= v
+        for j in range(3, 1000, 2):  # v^2 < 0.01: about a dozen terms
+            ej *= v
+            s_next = s + ej / j
+            if s_next == s:
+                break
+            s = s_next
+        return s
+    ratio = x / m
+    if not 0.0 < ratio < math.inf:  # the quotient over- or underflows
+        return x * (math.log(x) - math.log(m)) + m - x
+    return x * math.log(ratio) + m - x
+
+
 def binomial_log_pmf(spec: BinomialSpec, y: int) -> float:
     """Log of P(y successes in n trials); -inf for impossible outcomes."""
     n, p = spec.trials, spec.success_prob
+    y = _as_integer(y, "count")
     if y < 0 or y > n:
         raise ValueError(f"count must satisfy 0 <= y <= {n}, got {y}")
-    choose = ln_gamma(n + 1.0) - ln_gamma(y + 1.0) - ln_gamma(n - y + 1.0)
-    return choose + xlogy(y, p) + xlogy(n - y, 1.0 - p)
+    if p == 0.0 or p == 1.0:  # all the mass at y = 0 or at y = n
+        return 0.0 if y == (n if p else 0) else -math.inf
+    if y == 0:
+        return n * math.log1p(-p)
+    if y == n:
+        return n * math.log(p)
+    lc = (_stirlerr(n) - _stirlerr(y) - _stirlerr(n - y)
+          - _bd0(y, n * p) - _bd0(n - y, n * (1.0 - p)))
+    # ln(2 pi y (n - y) / n), with ln((n - y) / n) from the smaller of
+    # y / n and (n - y) / n, each rounded once.
+    tail = math.log1p(-y / n) if 2 * y <= n else math.log((n - y) / n)
+    return lc - 0.5 * (_LN_2PI + math.log(y) + tail)
 
 
 def binomial_pmf(spec: BinomialSpec, y: int) -> float:
@@ -104,7 +185,7 @@ def binomial_moments(spec: BinomialSpec) -> tuple[float, float]:
 def multinomial_log_pmf(spec: MultinomialSpec, counts) -> float:
     """Log of the multinomial mass at the given per-category counts."""
     n, probs = spec.trials, spec.category_probs
-    counts = [int(c) for c in counts]
+    counts = [_as_integer(c, "each count") for c in counts]
     if len(counts) != len(probs):
         raise ValueError(
             f"expected {len(probs)} counts, got {len(counts)}")
@@ -112,10 +193,19 @@ def multinomial_log_pmf(spec: MultinomialSpec, counts) -> float:
         raise ValueError(f"counts must be nonnegative, got {counts}")
     if sum(counts) != n:
         raise ValueError(f"counts must sum to trials={n}, got {sum(counts)}")
-    out = ln_gamma(n + 1.0)
+    if n == 0:
+        return 0.0
+    if any(c > 0 and p == 0.0 for c, p in zip(counts, probs)):
+        return -math.inf
+    # ln n! - sum ln y_j! + sum y_j ln p_j, with each ln m! as
+    # _stirlerr(m) + m ln m - m + ln(2 pi m)/2 and each y ln(y / (n p))
+    # as _bd0(y, n p) - n p + y: the y_j sum to n, and the n p_j sum to
+    # n (1 + (sum p_j - 1)), which the last term restores exactly.
+    out = _stirlerr(n) + 0.5 * (_LN_2PI + math.log(n)) + n * (math.fsum(probs) - 1.0)
     for c, p in zip(counts, probs):
-        out -= ln_gamma(c + 1.0)
-        out += xlogy(c, p)
+        out -= _bd0(c, n * p)
+        if c > 0:
+            out -= _stirlerr(c) + 0.5 * (_LN_2PI + math.log(c))
     return out
 
 
@@ -125,10 +215,14 @@ def multinomial_pmf(spec: MultinomialSpec, counts) -> float:
 
 
 def poisson_log_pmf(spec: PoissonSpec, y: int) -> float:
-    """Log of P(y events) = -rate + y ln(rate) - ln(y!)."""
+    """Log of P(y events) = -rate + y ln(rate) - ln(y!), as
+    -_stirlerr(y) - _bd0(y, rate) - ln(2 pi y) / 2."""
+    y = _as_integer(y, "count")
     if y < 0:
         raise ValueError(f"count must be >= 0, got {y}")
-    return -spec.rate + xlogy(y, spec.rate) - ln_gamma(y + 1.0)
+    if y == 0:
+        return -spec.rate
+    return -_stirlerr(y) - _bd0(y, spec.rate) - 0.5 * (_LN_2PI + math.log(y))
 
 
 def poisson_pmf(spec: PoissonSpec, y: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .association import ScoreAssignment, pearson_correlation
 from .special import chi2_sf, normal_cdf, normal_quantile, xlogy
-from .table import ContingencyTable
+from .table import ContingencyTable, _ContentEq
 
 __all__ = [
     "StatisticKind",
@@ -93,8 +93,8 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
-class ExpectedFrequencies:
+@dataclass(frozen=True, eq=False)
+class ExpectedFrequencies(_ContentEq):
     """Estimated expected cell frequencies row_total * col_total / n,
     under either the independence or the homogeneity hypothesis."""
 
@@ -234,14 +234,21 @@ def wald_ci(
                               degenerate=(se == 0.0))
 
 
-def _require_positive_margins(table: ContingencyTable) -> None:
-    rows, cols = table.row_totals, table.col_totals
-    if not rows.all():
-        lab = table.row_labels[int(rows.argmin())]
+def _require_positive_margins(table: ContingencyTable) -> float:
+    """Raise ``ValueError`` when a row or column total is zero; otherwise
+    return the smallest expected frequency, r_min * c_min / n. Each
+    expected frequency is fl(fl(r_i c_j) / n), and correctly rounded
+    products and quotients are monotone, so this equals the minimum over
+    the expected-frequency matrix bit for bit."""
+    r_min = table.row_totals.min()
+    c_min = table.col_totals.min()
+    if not r_min:
+        lab = table.row_labels[int(table.row_totals.argmin())]
         raise ValueError(f"row {lab!r} has zero total; expected frequencies undefined")
-    if not cols.all():
-        lab = table.col_labels[int(cols.argmin())]
+    if not c_min:
+        lab = table.col_labels[int(table.col_totals.argmin())]
         raise ValueError(f"column {lab!r} has zero total; expected frequencies undefined")
+    return float(r_min) * float(c_min) / table.total()
 
 
 def expected_frequencies(
@@ -259,9 +266,11 @@ def expected_frequencies(
 
 
 def _chisq_pair(
-    table: ContingencyTable, hypothesis: str
+    table: ContingencyTable, hypothesis: str, min_expected: float
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
-    """X^2 and G^2 with their p-values and the expected frequencies.
+    """X^2 and G^2 with their p-values and the expected frequencies;
+    ``min_expected`` is the smallest expected frequency, from
+    :func:`_require_positive_margins`.
 
     Memory: besides the returned expected-frequency matrix, one work
     buffer of the table's size holds every cell term in turn, and a
@@ -275,7 +284,7 @@ def _chisq_pair(
     mu = expected.values
     obs = table.counts
     df = (table.n_rows - 1) * (table.n_cols - 1)
-    warn = bool(mu.min() < SMALL_CELL_THRESHOLD)
+    warn = min_expected < SMALL_CELL_THRESHOLD
 
     work = np.subtract(obs, mu)
     np.square(work, out=work)
@@ -302,8 +311,7 @@ def independence_test(
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
     """Pearson X^2 and deviance G^2 against the hypothesis that the row
     and column variables are independent; df = (I-1)(J-1)."""
-    _require_positive_margins(table)
-    return _chisq_pair(table, "independence")
+    return _chisq_pair(table, "independence", _require_positive_margins(table))
 
 
 def homogeneity_test(
@@ -315,8 +323,7 @@ def homogeneity_test(
     the sampling design and the conclusion wording differ."""
     # A zero response category breaks the shared expected-frequency
     # formula just as a zero design row does.
-    _require_positive_margins(table)
-    return _chisq_pair(table, "homogeneity")
+    return _chisq_pair(table, "homogeneity", _require_positive_margins(table))
 
 
 def mantel_haenszel_test(

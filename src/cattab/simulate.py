@@ -29,7 +29,7 @@ from .inference import (
     mantel_haenszel_test,
     wald_ci,
 )
-from .table import ContingencyTable
+from .table import ContingencyTable, _ContentEq
 
 __all__ = [
     "SchemeKind",
@@ -48,6 +48,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 _NULL_TOL = 1e-9
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# The largest rate numpy's Poisson sampler accepts: int64 max less ten
+# standard deviations, 9.223372006484771e18.
+_POISSON_MAX_RATE = float(_INT64_MAX) - 10.0 * math.sqrt(float(_INT64_MAX))
 _MIN_CALIBRATION_REPLICATES = 1000
 
 
@@ -74,7 +77,7 @@ def _total(value, name: str) -> int:
     return int(value)
 
 
-class SamplingScheme(abc.ABC):
+class SamplingScheme(_ContentEq, abc.ABC):
     """How a table is generated: one subclass per sampling process, each
     holding only its own fields. Build one with :meth:`poisson`,
     :meth:`binomial_rows` or :meth:`multinomial`."""
@@ -106,7 +109,7 @@ class SamplingScheme(abc.ABC):
         return MultinomialScheme(total, joint_probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoissonScheme(SamplingScheme):
     """Independent Poisson count in every cell; nothing fixed."""
 
@@ -117,6 +120,10 @@ class PoissonScheme(SamplingScheme):
         rates = _frozen_float_matrix(self.cell_rates, "cell_rates")
         if np.any(rates <= 0.0):
             raise ValueError("all Poisson cell rates must be > 0")
+        top = float(rates.max())
+        if top > _POISSON_MAX_RATE:
+            raise ValueError(f"cell_rates must be at most {_POISSON_MAX_RATE!r}, the "
+                             f"largest Poisson rate the sampler draws from; got {top!r}")
         object.__setattr__(self, "cell_rates", rates)
 
     def cell_probabilities(self) -> np.ndarray:
@@ -127,7 +134,7 @@ class PoissonScheme(SamplingScheme):
         return rng.poisson(self.cell_rates).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinomialRowsScheme(SamplingScheme):
     """Design-fixed row totals; each row an independent multinomial draw
     over the columns."""
@@ -160,7 +167,7 @@ class BinomialRowsScheme(SamplingScheme):
         return np.asarray(rows, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultinomialScheme(SamplingScheme):
     """One multinomial draw of fixed size over all cells."""
 

@@ -9,8 +9,15 @@ incomplete gamma function, which the standard library lacks, is a power
 series / continued fraction, or Temme's uniform asymptotic expansion
 when the shape is large and x lies near it.
 
-All functions are pure, raise ``ValueError`` outside their domain, and
-never return NaN.
+The chi-square tail at an integer df below 200, which every table test
+up to about 15x15 asks for, is a finite sum of positive terms
+(Abramowitz & Stegun 26.4.4-26.4.5) with no convergence test; df 1 is
+``erfc(sqrt(x/2))`` and df 2 is ``exp(-x/2)``, its shortest cases. Other
+df go through the incomplete gamma function.
+
+All functions are pure, raise ``ValueError`` outside their domain (NaN
+and infinite arguments included, except x = +inf, where the tails are
+0 and 1), and never return NaN.
 """
 
 from __future__ import annotations
@@ -36,6 +43,13 @@ _MAX_ITER = 1000
 # in fewer than 150.
 _TEMME_MIN_A = 100.0
 _TEMME_MAX_MU = 0.25
+
+# chi2_sf sums A&S 26.4.4-26.4.5 for integer df below this, that is for
+# every shape df/2 below Temme's range; a sum has at most df/2 terms.
+_FINITE_SUM_MAX_DF = 2.0 * _TEMME_MIN_A
+# exp() of anything below this is 0.0.
+_LOG_UNDERFLOW = -746.0
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # Taylor coefficients in eta of Temme's C_k(eta), k = 0..6 (Temme 1979;
 # DiDonato & Morris 1986, ACM TOMS 12:377), from the recursion
@@ -148,9 +162,9 @@ def _gamma_temme(a: float, x: float) -> tuple[float, float] | None:
 
 
 def _check_gamma_args(a: float, x: float) -> None:
-    if not a > 0.0:
-        raise ValueError(f"incomplete gamma requires a > 0, got a={a}")
-    if x < 0.0:
+    if not 0.0 < a < math.inf:  # NaN too
+        raise ValueError(f"incomplete gamma requires finite a > 0, got a={a}")
+    if not x >= 0.0:  # NaN too
         raise ValueError(f"incomplete gamma requires x >= 0, got x={x}")
 
 
@@ -163,6 +177,8 @@ def reg_gamma_lower(a: float, x: float) -> float:
     _check_gamma_args(a, x)
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     temme = _gamma_temme(a, x)
     if temme is not None:
         return _clip01(temme[0])
@@ -176,6 +192,8 @@ def reg_gamma_upper(a: float, x: float) -> float:
     _check_gamma_args(a, x)
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     temme = _gamma_temme(a, x)
     if temme is not None:
         return _clip01(temme[1])
@@ -191,17 +209,60 @@ def _chi2_sf_1df(x: float) -> float:
 
 def chi2_sf(df: float, x: float) -> float:
     """Right-tail probability of the chi-square distribution with
-    ``df`` degrees of freedom: P(X >= x) = Q(df/2, x/2), in closed form
-    at df = 1 and df = 2."""
-    if not df > 0.0:
-        raise ValueError(f"chi2_sf requires df > 0, got {df}")
-    if x < 0.0:
+    ``df`` degrees of freedom: P(X >= x) = Q(df/2, x/2).
+
+    For integer df below 200 this is a finite sum of at most df/2
+    positive terms (Abramowitz & Stegun 26.4.4-26.4.5): with y = x/2,
+    k = df // 2 and h = 1/2 for odd df, 0 for even df,
+    Q = [erfc(sqrt(y)) if df is odd] + e^-y sum_{i<k} y^(i+h) / Gamma(i+h+1).
+    Nothing cancels and nothing needs a convergence test; df 1 (k = 0)
+    is ``erfc(sqrt(x/2))`` and df 2 is ``exp(-x/2)``. Any other df uses
+    :func:`reg_gamma_upper`: a power series or continued fraction, or
+    Temme's expansion for df >= 200 with x within 25% of df. Q is 0 at
+    x = +inf.
+    """
+    if not 0.0 < df < math.inf:  # NaN too
+        raise ValueError(f"chi2_sf requires finite df > 0, got {df}")
+    if not x >= 0.0:  # NaN too
         raise ValueError(f"chi2_sf requires x >= 0, got {x}")
-    if df == 1:
-        return _chi2_sf_1df(x)
-    if df == 2:
-        return math.exp(-0.5 * x)
-    return reg_gamma_upper(0.5 * df, 0.5 * x)
+    # df < 200 first: int(df) is defined only for finite df.
+    if not (df < _FINITE_SUM_MAX_DF and df == int(df)):
+        return reg_gamma_upper(0.5 * df, 0.5 * x)
+    k, odd = divmod(int(df), 2)
+    head = _chi2_sf_1df(x) if odd else 0.0
+    if k == 0:
+        return head
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    h = 0.5 * odd
+    last = k - 1 + h  # y's power in the last term
+    if y <= last or k == 1:
+        # From e^-y t_0 forward. Unless k = 1, y <= last < 100 here, so
+        # e^-y is a normal float. The terms rise until index y and then
+        # fall, so the stop can only trigger once they fall.
+        term = total = math.exp(-y) * (math.sqrt(y) * _TWO_OVER_SQRT_PI if odd else 1.0)
+        for i in range(1, k):
+            term *= y / (i + h)
+            total += term
+            if term <= total * 1e-17:
+                break
+    else:
+        # The last term is (about) the largest: sum backward from it,
+        # where each term is (i + h) / y times the next, in units of that
+        # term. Its log scales the sum once at the end, so e^-y cannot
+        # underflow alone and a subnormal tail is rounded only once.
+        log_top = last * math.log(y) - y - math.lgamma(last + 1.0)
+        if log_top < _LOG_UNDERFLOW:
+            return head
+        term = total = 1.0
+        for i in range(k - 1, 0, -1):
+            term *= (i + h) / y
+            total += term
+            if term <= total * 1e-17:
+                break
+        total *= math.exp(log_top)
+    return head + total
 
 
 def normal_cdf(z: float) -> float:

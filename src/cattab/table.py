@@ -9,7 +9,7 @@ the usual maximum-likelihood ones (cell count over the relevant total).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +29,31 @@ Record = tuple[str, str]
 
 _COHERENCE_TOL = 1e-12
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class _ContentEq:
+    """Equality and hash by content for frozen dataclasses that hold numpy
+    arrays, declared with ``eq=False``: the generated ``__eq__`` compares
+    array fields with ``==``, which raises on any array of more than one
+    element, and the generated ``__hash__`` cannot hash an array. Array
+    fields compare with ``np.array_equal``, other fields with ``==``; the
+    hash takes an array's shape and values, so equal instances hash
+    alike."""
+
+    __slots__ = ()
+
+    def _content(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._content(), other._content()))
+
+    def __hash__(self) -> int:
+        return hash(tuple((v.shape, tuple(v.ravel().tolist()))
+                          if isinstance(v, np.ndarray) else v for v in self._content()))
 
 
 def _frozen_int_matrix(values) -> np.ndarray:
@@ -60,8 +85,8 @@ def _unique_labels(labels: Sequence[str], expected: int, axis: str) -> tuple[str
     return out
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+@dataclass(frozen=True, eq=False)
+class ContingencyTable(_ContentEq):
     """Cross-classification of two categorical variables.
 
     Attributes
@@ -148,8 +173,8 @@ class ContingencyTable:
         return self._total
 
 
-@dataclass(frozen=True)
-class ProbabilityEstimates:
+@dataclass(frozen=True, eq=False)
+class ProbabilityEstimates(_ContentEq):
     """Maximum-likelihood joint probability estimates and the row and
     column marginals they imply, summed from ``joint`` on construction."""
 

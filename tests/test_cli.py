@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -381,6 +384,20 @@ class TestCliCommands:
         assert results["pmf"] == pytest.approx(0.000786432, rel=1e-9)
         assert results["mean"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("trials, log_pmf", [
+        # ln P(n/2 of n at p = .5), mpmath at 50 digits. The log-gamma form
+        # printed a pmf of 1.59e15 at 1e16 trials and raised OverflowError
+        # at 1e18.
+        (10**16, -18.64647209659709293),
+        (10**18, -20.949057189591138589),
+    ])
+    def test_dist_binomial_at_huge_trials(self, capsys, trials, log_pmf):
+        env = run_json(capsys, "dist", "binomial", "--trials", str(trials),
+                       "--prob", ".5", "--count", str(trials // 2))
+        results = env["results"]
+        assert results["log_pmf"] == pytest.approx(log_pmf, rel=1e-9)
+        assert results["pmf"] == pytest.approx(math.exp(log_pmf), rel=1e-9)
+
     def test_dist_multinomial(self, capsys):
         env = run_json(capsys, "dist", "multinomial", "--trials", "10",
                        "--probs", "0.2,0.8", "--counts", "7,3")
@@ -571,6 +588,43 @@ class TestExitCodes:
         assert err.startswith("cattab: error: ") and message in err
         assert "Traceback" not in err
 
+    def test_domain_error_poisson_rate_above_the_sampler_limit(self, capsys):
+        # Exited 3 with numpy's "lam value too large", which names no option.
+        code, out, err = run_cli(capsys, "simulate", "calibrate", "--scheme", "poisson",
+                                 "--total-rate", "1e30", "--row-marginals", ".5,.5",
+                                 "--col-marginals", ".5,.5", "--replicates", "1000",
+                                 "--seed", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("cattab: error: cell_rates must be at most 9.223372006484771e+18")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "calibrate", "--n", "100", "--row-marginals", ".5,.5",
+         "--col-marginals", ".5,.5"],
+        ["simulate", "coverage", "--pi", ".5", "--trials", "10"],
+    ], ids=["calibrate", "coverage"])
+    def test_domain_error_replicates_beyond_memory(self, capsys, argv):
+        # The replicate array cannot be allocated; this was numpy's
+        # _ArrayMemoryError traceback and exit 1.
+        code, out, err = run_cli(capsys, *argv, "--replicates", str(10**18), "--seed", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("cattab: error: not enough memory for this request")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "linear", "--input", SURVEY],
+        ["assoc", "correlation", "--input", SURVEY],
+        ["simulate", "calibrate", "--test", "mantel-haenszel", "--n", "100",
+         "--row-marginals", ".5,.5", "--col-marginals", ".5,.5", "--replicates", "1000",
+         "--seed", "1"],
+    ], ids=["linear", "correlation", "calibrate"])
+    def test_domain_error_score_range_longer_than_its_axis(self, capsys, argv):
+        # The range is refused before it is built; 1:10**18 used to build
+        # a list of 10**18 scores.
+        code, out, err = run_cli(capsys, *argv, "--scores", f"1:{10**18},1:2")
+        assert (code, out) == (3, "")
+        assert "row scores, got 1000000000000000000" in err
+
     def test_domain_error_odds_ratio_zero_over_zero(self, capsys, tmp_path):
         # Both cross products are zero; this read "inf" both ways round.
         path = tmp_path / "zero_row.csv"
@@ -625,3 +679,144 @@ def test_cli_output_is_unchanged(capsys, example):
     ``golden/cli_outputs.json``."""
     code, out, err = run_cli(capsys, *_fixture_args(example["argv"]))
     assert (code, out, err) == (example["exit_code"], example["stdout"], example["stderr"])
+
+
+# ---------------------------------------------------------------------------
+# Contract fuzz: argv drawn from the real grammar, every subcommand with
+# its own options, and CSV bodies written to a file. Whatever is drawn,
+# main exits 0, 2 or 3 and never prints a traceback.
+
+# Each option's value is one of a few valid ones five times in six, so
+# that a command often gets past its checks and runs; otherwise it is 0,
+# a negative, 1e18-scale or over-int64 integer, nan, an infinity or -0.0,
+# or an empty string or junk.
+_BIG_INTS = [str(10**16), str(5 * 10**17), str(10**18), str(2**63 - 1), str(2**63),
+             str(10**30)]
+_EDGE = ["0", "-1", "-7", *_BIG_INTS, "-0.0", "-0.5", "nan", "inf", "-inf", "1e18", "1e308",
+         "5e-324", "2.5", "", " ", "abc", ",", ";", ":", "1:2:3", ",,1", "1,,2", "0x10",
+         "1_000", "\uff11", "\x00", "--", "1e", "[1]"]
+
+
+@st.composite
+def _pick(draw, valid, risky=st.sampled_from(_EDGE)):
+    if draw(st.integers(0, 5)) < 5:
+        return draw(st.sampled_from(valid) if isinstance(valid, list) else valid)
+    return draw(risky)
+
+
+_EDGE_LIST = st.lists(st.sampled_from(_EDGE), max_size=4).map(",".join)
+_COUNT = _pick(["1", "2", "3", "7", "10", "100"])
+_PROB = _pick([".5", ".25", ".2", ".95", "0.999"])
+_RATE = _pick(["0.5", "3", "900"])
+_PROBS = _pick([".5,.5", ".25,.75", ".2,.3,.5", ".2,.8"], st.one_of(_EDGE_LIST, _COUNT))
+_TOTALS = _pick(["5,5", "100,100", "1,2", "30,10"], st.one_of(_EDGE_LIST, _COUNT))
+_INDICES = _pick(["1,2", "2,1", "1,3", "2,2"], st.one_of(_EDGE_LIST, _COUNT))
+_SCORES = _pick(["1:5,1:5", "1:2,1:2", "1:3,1:4", "1,2;1,2", "0,1;1,3,4"], st.one_of(
+    st.tuples(*[st.sampled_from(["0", "1", "2", "-3", *_BIG_INTS])] * 4).map(
+        lambda v: f"{v[0]}:{v[1]},{v[2]}:{v[3]}"),
+    st.tuples(_TOTALS, _PROBS).map(";".join), st.sampled_from(_EDGE)))
+# Below 2,000 a case runs in well under a second; at 10**15 and more the
+# replicate array cannot be allocated and the command fails at once. The
+# range between is left out: a single case there runs for minutes or
+# exhausts memory.
+_REPLICATES = _pick(["1000", "2000"], st.one_of(
+    st.sampled_from(["-1", "0", "999", str(10**15), str(10**18), str(2**63 - 1)]),
+    st.integers(-5, 2000).map(str), st.integers(10**15, 10**19).map(str), st.just("abc")))
+
+
+def _choice(valid, invalid):
+    return _pick(valid, st.sampled_from(invalid))
+
+
+_FORMAT = {"--format": _choice(["text", "json"], ["xml"])}
+_SUBCOMMANDS = {
+    ("describe",): {"--given": _choice(["rows", "cols"], ["diag"]), "--emit-counts": None},
+    ("test", "independence"): {}, ("test", "homogeneity"): {},
+    ("test", "linear"): {"--scores": _SCORES},
+    ("test", "proportion"): {"--successes": _COUNT, "--trials": _COUNT, "--null": _PROB,
+                             "--sided": _choice(["two", "upper", "lower"], ["left"]),
+                             "--level": _PROB},
+    ("assoc", "odds-ratio"): {"--rows": _INDICES, "--cols": _INDICES,
+                              "--zero-correction": None},
+    ("assoc", "correlation"): {"--scores": _SCORES},
+    ("dist", "binomial"): {"--trials": _COUNT, "--prob": _PROB, "--count": _COUNT},
+    ("dist", "multinomial"): {"--trials": _COUNT, "--probs": _PROBS, "--counts": _TOTALS},
+    ("dist", "poisson"): {"--rate": _RATE, "--count": _COUNT},
+    ("simulate", "calibrate"): {
+        "--seed": _COUNT, "--replicates": _REPLICATES,
+        "--test": _choice(["pearson", "deviance", "mantel-haenszel"], ["t"]),
+        "--scores": _SCORES},
+    ("simulate", "coverage"): {"--seed": _COUNT, "--replicates": _REPLICATES,
+                               "--pi": _PROB, "--trials": _COUNT, "--level": _PROB},
+}
+_SCHEME_OPTIONS = {"multinomial": {"--n": _COUNT, "--row-marginals": _PROBS,
+                                   "--col-marginals": _PROBS},
+                   "binomial-rows": {"--row-totals": _TOTALS, "--col-marginals": _PROBS},
+                   "poisson": {"--total-rate": _RATE, "--row-marginals": _PROBS,
+                               "--col-marginals": _PROBS}}
+_TABLE_COMMANDS = {("describe",), ("test", "independence"), ("test", "homogeneity"),
+                   ("test", "linear"), ("assoc", "odds-ratio"), ("assoc", "correlation")}
+
+_CELL = _pick(["0", "1", "3", "12", "250"], st.one_of(st.sampled_from(_EDGE), st.sampled_from(
+    ['"1,000"', '"1,5"', '"a""b"', '"x\ny"', "x" * 140_000, " 3 ", "'4'"])))
+_ROW = st.lists(_CELL, max_size=5).map(",".join)
+# Blank lines, ragged rows, quotes and huge cells, or nothing at all.
+_JUNK_BODY = st.lists(st.one_of(st.just(""), _ROW), max_size=7).map("\n".join)
+_BODIES = {
+    "counts": _pick(["table,x,y\na,1,2\nb,3,4", "table,x,y,z\na,0,2,5\nb,0,4,1",
+                     "t,x,y,z\na,5,0,1\nb,2,0,1\nc,9,9,1", "table,x,y\na,0,0\nb,3,4"],
+                    _JUNK_BODY),
+    "records": _pick(["r,c\na,x\na,y\nb,x\nb,y\nb,y", "r,c\na,x\nb,x",
+                      "r,c\n\na , x\n\"b\",y\nc,z\na,z"], _JUNK_BODY),
+}
+
+
+@st.composite
+def _argv(draw):
+    """(argv, CSV body) for one command, its options drawn from its own
+    grammar; "{csv}" in argv stands for the body's path."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    options = {**_FORMAT, **_SUBCOMMANDS[command]}
+    if command == ("simulate", "calibrate"):
+        scheme = draw(_choice(sorted(_SCHEME_OPTIONS), ["other"]))
+        options["--scheme"] = st.just(scheme)
+        options.update(_SCHEME_OPTIONS.get(scheme, {}))
+        if not draw(st.integers(0, 5)):  # an option of another scheme
+            other = draw(st.sampled_from(sorted(_SCHEME_OPTIONS)))
+            options.update(_SCHEME_OPTIONS[other])
+    fmt = draw(_choice(["counts", "records"], ["junk"]))
+    body = draw(_BODIES.get(fmt, _JUNK_BODY))
+    argv = list(command)
+    if command in _TABLE_COMMANDS or not draw(st.integers(0, 5)):
+        argv += ["--input-format", fmt,
+                 "--input", draw(_choice(["{csv}"], ["{missing}", SURVEY]))]
+    for flag in sorted(options):
+        if not draw(st.integers(0, 7)):  # each option is left out one time in eight
+            continue
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    if command[0] == "simulate" and "--replicates" not in argv:
+        argv += ["--replicates", draw(_REPLICATES)]  # the default, 10,000, is slow
+    return argv, body
+
+
+@given(case=_argv())
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_contract_fuzz(tmp_path, case):
+    argv, body = case
+    csv_path = tmp_path / "input.csv"
+    csv_path.write_text(body)
+    paths = {"{csv}": str(csv_path), "{missing}": str(tmp_path / "missing.csv")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert stderr.getvalue() == ""

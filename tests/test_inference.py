@@ -14,6 +14,7 @@ from cattab.inference import (
     ExpectedFrequencies,
     Sidedness,
     StatisticKind,
+    _require_positive_margins,
     expected_frequencies,
     homogeneity_test,
     independence_test,
@@ -348,6 +349,18 @@ class TestIndependenceTest:
         pearson, _, expected = independence_test(life_quality_survey())
         assert expected.values.min() < 5
         assert pearson.small_cell_warning
+
+    @given(st.one_of(count_matrices(max_count=30), count_matrices(max_count=10**15)))
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_expected_frequency_from_the_margin_minima(self, counts):
+        # r_min * c_min / n is the minimum of the expected matrix bit for
+        # bit, also where the margin products pass 2^53 and round.
+        table = make_table(counts)
+        for runner in (independence_test, homogeneity_test):
+            pearson, deviance, expected = runner(table)
+            assert _require_positive_margins(table) == expected.values.min()
+            assert pearson.small_cell_warning == deviance.small_cell_warning \
+                == bool(expected.values.min() < 5)
 
     def test_zero_margin_rejected(self):
         table = ContingencyTable([[1, 0], [3, 0]], ("a", "b"), ("x", "y"))

@@ -83,6 +83,17 @@ class TestSamplingScheme:
             SamplingScheme.binomial_rows((-math.inf, 5), UNIFORM_2X2 * 2)
         assert SamplingScheme.multinomial(2**63 - 1, UNIFORM_2X2).total == 2**63 - 1
 
+    def test_poisson_rates_above_the_sampler_limit_rejected(self):
+        # numpy's Poisson sampler refuses a rate above int64 max less ten
+        # standard deviations; the scheme names the field instead.
+        limit = 9.223372006484771e18
+        assert limit == float(2**63 - 1) - 10.0 * math.sqrt(float(2**63 - 1))
+        scheme = SamplingScheme.poisson(np.full((2, 2), limit))
+        assert scheme.draw(np.random.default_rng(1)).shape == (2, 2)
+        for rate in (np.nextafter(limit, math.inf), 1e30):
+            with pytest.raises(ValueError, match="cell_rates must be at most 9.223372006484771e"):
+                SamplingScheme.poisson([[1.0, rate], [2.0, 3.0]])
+
     def test_poisson_requires_positive_rates(self):
         with pytest.raises(ValueError, match="> 0"):
             SamplingScheme.poisson([[1.0, 0.0], [2.0, 3.0]])

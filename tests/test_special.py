@@ -56,6 +56,28 @@ REG_GAMMA_UPPER_LARGE_REF = {
     (1e7, 0.9995e7): 0.94309492926100659596,
 }
 
+# chi2_sf at integer df below 200, where it is a finite sum: the forward
+# sum (x/2 at most df/2 - 1), the backward sum from the last term, and
+# tails down to 1e-161; mpmath.gammainc at 40 digits.
+CHI2_SF_INTEGER_DF_REF = {
+    (3, 0.5): 9.1889141165467585936e-1,
+    (3, 7.8): 5.0331097859853354623e-2,
+    (4, 1e-06): 9.9999999999987500004e-1,
+    (4, 9.5): 4.9747247417943646518e-2,
+    (5, 60.0): 1.2154569777183038948e-11,
+    (16, 15.0): 5.2463852648760545045e-1,
+    (16, 300.0): 2.5506138008293212946e-54,
+    (17, 2.0): 9.9999655770370058732e-1,
+    (40, 38.0): 5.6060738939150841491e-1,
+    (81, 100.0): 7.475363358652817342e-2,
+    (99, 40.0): 9.9999998013059041922e-1,
+    (99, 120.0): 7.4243855805966789866e-2,
+    (150, 150.0): 4.8464360096035700605e-1,
+    (184, 213.5): 6.7215880397523823248e-2,
+    (199, 198.0): 5.0669020882049527758e-1,
+    (199, 1300.0): 7.588265134844104202e-161,
+}
+
 NORMAL_CDF_REF = {
     -6.0: 9.865876450376981407e-10,
     -3.0: 0.0013498980316300945267,
@@ -211,11 +233,67 @@ class TestChiSquareSurvival:
         assert 0.1 < p < 0.9
         assert p == pytest.approx(reg_gamma_upper(0.5 * df, 0.5 * x), rel=0.0)
 
+    @pytest.mark.parametrize("args, expected", sorted(CHI2_SF_INTEGER_DF_REF.items()))
+    def test_integer_df_reference_values(self, args, expected):
+        assert chi2_sf(*args) == pytest.approx(expected, rel=1e-12)
+
+    @given(st.integers(1, 199), st.floats(0.0, 1e4))
+    @settings(max_examples=500, deadline=None)
+    def test_integer_df_matches_the_incomplete_gamma(self, df, x):
+        # Below 1e-300 both lose relative precision to subnormal rounding.
+        assert chi2_sf(df, x) == pytest.approx(reg_gamma_upper(0.5 * df, 0.5 * x),
+                                               rel=1e-12, abs=1e-300)
+        assert chi2_sf(float(df), x) == chi2_sf(df, x)
+
+    @given(st.sampled_from([0.5, 2.5, 17.25, 199.5, 200, 201, 300.0, 62001]),
+           st.floats(0.0, 1e5))
+    @settings(max_examples=200, deadline=None)
+    def test_other_df_use_the_incomplete_gamma(self, df, x):
+        assert chi2_sf(df, x) == reg_gamma_upper(0.5 * df, 0.5 * x)
+
+    @pytest.mark.parametrize("df", [2, 3, 16, 81, 198, 199])
+    def test_integer_df_tail_underflows_to_zero(self, df):
+        assert chi2_sf(df, 1e4) == 0.0
+        assert chi2_sf(df, 1e300) == 0.0
+
+    @pytest.mark.parametrize("df", [3, 16, 199])
+    def test_integer_df_strictly_decreasing_in_x(self, df):
+        # Over x from df/2 to 4 df, where Q lies strictly inside (0, 1).
+        grid = [chi2_sf(df, 0.25 * k) for k in range(2 * df, 16 * df)]
+        assert all(lo > hi for lo, hi in zip(grid, grid[1:]))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             chi2_sf(0, 1.0)
         with pytest.raises(ValueError):
             chi2_sf(1, -1.0)
+
+
+# x = +inf is the end of the support: Q = 0 and P = 1 at every df and
+# shape. A NaN x, or a NaN or infinite df or shape, is a ValueError.
+_NON_FINITE_CASES = [
+    *[(chi2_sf, (df, math.inf), 0.0)
+      for df in (1, 2, 3, 4, 16, 199, 199.5, 200, 300, 1e6)],
+    *[(reg_gamma_upper, (a, math.inf), 0.0) for a in (0.5, 1.0, 2.0, 150.0, 1e6)],
+    *[(reg_gamma_lower, (a, math.inf), 1.0) for a in (0.5, 1.0, 2.0, 150.0, 1e6)],
+    *[(chi2_sf, (df, math.nan), ValueError) for df in (1, 2, 3, 199.5, 300)],
+    *[(f, (a, math.nan), ValueError)
+      for f in (reg_gamma_upper, reg_gamma_lower) for a in (0.5, 2.0, 150.0)],
+    *[(chi2_sf, (df, 1.0), ValueError) for df in (math.inf, -math.inf, math.nan)],
+    *[(f, (a, 1.0), ValueError)
+      for f in (reg_gamma_upper, reg_gamma_lower) for a in (math.inf, math.nan)],
+    *[(normal_cdf, (z,), ValueError) for z in (math.inf, -math.inf, math.nan)],
+]
+
+
+@pytest.mark.parametrize("func, args, expected", _NON_FINITE_CASES,
+                         ids=[f"{f.__name__}{args}" for f, args, _ in _NON_FINITE_CASES])
+def test_non_finite_arguments(func, args, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            func(*args)
+    else:
+        assert func(*args) == expected
 
 
 class TestNormalCdf:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cattab.fixtures import police_shootings, vaccine_trial
+from cattab.inference import ExpectedFrequencies, expected_frequencies
+from cattab.simulate import SamplingScheme
 from cattab.table import (
     ContingencyTable,
     ProbabilityEstimates,
@@ -358,3 +360,55 @@ class TestLargeTables:
             tracemalloc.stop()
         assert peak <= 1.3 * table.counts.nbytes, \
             f"peak {peak / table.counts.nbytes:.2f}x counts.nbytes"
+
+
+def _counts_table(cells=((1, 2), (3, 4)), rows=("a", "b")):
+    return ContingencyTable(np.array(cells), rows, ("x", "y"))
+
+
+# Each class that holds numpy arrays: a function that makes two equal instances
+# from separate arrays, and variants that differ from them in one field.
+_ARRAY_DATACLASSES = {
+    "ContingencyTable": (
+        lambda: _counts_table(),
+        [lambda: _counts_table(((1, 2), (3, 5))), lambda: _counts_table(rows=("a", "c")),
+         lambda: ContingencyTable([[1, 2], [3, 4]], ("a", "b"), ("x", "y"), row_ordinal=True)]),
+    "ProbabilityEstimates": (
+        lambda: joint_probabilities(_counts_table()),
+        [lambda: joint_probabilities(_counts_table(((1, 2), (4, 3)))),
+         lambda: ProbabilityEstimates(np.full((2, 2), 0.25), _counts_table())]),
+    "ExpectedFrequencies": (
+        lambda: expected_frequencies(_counts_table()),
+        [lambda: expected_frequencies(_counts_table(), "homogeneity"),
+         lambda: ExpectedFrequencies(np.full((2, 2), 2.5), "independence")]),
+    "PoissonScheme": (
+        lambda: SamplingScheme.poisson(np.full((2, 2), 3.0)),
+        [lambda: SamplingScheme.poisson([[3.0, 3.0], [3.0, 4.0]]),
+         lambda: SamplingScheme.poisson(np.full((2, 3), 3.0))]),
+    "BinomialRowsScheme": (
+        lambda: SamplingScheme.binomial_rows((5, 5), np.full((2, 2), 0.5)),
+        [lambda: SamplingScheme.binomial_rows((5, 6), np.full((2, 2), 0.5)),
+         lambda: SamplingScheme.binomial_rows((5, 5), [[0.5, 0.5], [0.25, 0.75]])]),
+    "MultinomialScheme": (
+        lambda: SamplingScheme.multinomial(100, np.full((2, 2), 0.25)),
+        [lambda: SamplingScheme.multinomial(101, np.full((2, 2), 0.25)),
+         lambda: SamplingScheme.multinomial(100, [[0.5, 0.25], [0.25, 0.0]])]),
+}
+
+
+@pytest.mark.parametrize("build, variants", _ARRAY_DATACLASSES.values(),
+                         ids=_ARRAY_DATACLASSES.keys())
+def test_array_dataclasses_compare_by_content(build, variants):
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert first in [second] and len({first, second}) == 1
+    for variant in variants:
+        other = variant()
+        assert first != other and not first == other
+    others = [make() for make, _ in _ARRAY_DATACLASSES.values() if make is not build]
+    for stranger in (None, 1, "x", (1, 2), *others):
+        assert (first == stranger) is False
+        assert (first != stranger) is True
+    first == np.zeros(2)  # numpy answers elementwise; nothing raises
