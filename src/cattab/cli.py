@@ -6,7 +6,8 @@ marginal, and conditional probability estimates), ``test``
 ``assoc`` (odds ratios and scored correlation), ``dist`` (PMF
 evaluation), and ``simulate`` (null calibration and interval coverage).
 Each command ("test independence", "dist poisson", ...) is one entry
-of ``_COMMANDS``: a compute function and a text renderer.
+of ``_COMMANDS``: a compute function, a text renderer and the flags it
+takes, each declared once in ``_OPTIONS``; its parser accepts no other.
 
 Output is plain text or a deterministic JSON envelope with fixed keys
 ``version``, ``input_digest``, ``command``, ``results``, ``warnings``;
@@ -334,8 +335,9 @@ def _render_proportion(results: dict) -> list[str]:
     return lines
 
 
-def _chisq(args, runner):
+def _chisq(args):
     table = _load_table(args)
+    runner = independence_test if args.which == "independence" else homogeneity_test
     pearson, deviance, expected = runner(table)
     warnings = []
     if pearson.small_cell_warning:
@@ -529,6 +531,8 @@ def _scheme_payload(scheme: SamplingScheme) -> dict:
 def _calibrate(args):
     if args.seed is None:
         raise InputFormatError("--seed is required for simulate commands")
+    if args.scores is not None and args.test != "mantel-haenszel":
+        raise InputFormatError("--scores applies only to --test mantel-haenszel")
     scheme = _scheme_from_args(args)
     test = args.test.replace("-", "_")
     scores = _parse_scores(args.scores, scheme.shape)
@@ -573,106 +577,100 @@ def _coverage(args):
                          ("true_pi", "trials", "level", "replicates", "seed")}
 
 
-# Library functions are looked up when a command runs, not bound here, so
-# that one replaced in this module (by a tracer, a test double) is called.
+_TABLE_FLAGS = ("--input", "--input-format")
+
+# Each command: its compute function, its text renderer and the flags it
+# takes besides --format. Library functions are looked up when a command
+# runs, so that one replaced in this module (a tracer, a test double) is called.
 _COMMANDS = {
-    "describe": (_describe, _render_describe),
-    "test independence": (lambda args: _chisq(args, independence_test), _render_chisq),
-    "test homogeneity": (lambda args: _chisq(args, homogeneity_test), _render_chisq),
-    "test linear": (_linear, _render_linear),
-    "test proportion": (_proportion, _render_proportion),
-    "assoc odds-ratio": (_odds_ratio, _render_odds_ratio),
+    "describe": (_describe, _render_describe, (*_TABLE_FLAGS, "--given", "--emit-counts")),
+    "test independence": (_chisq, _render_chisq, _TABLE_FLAGS),
+    "test homogeneity": (_chisq, _render_chisq, _TABLE_FLAGS),
+    "test linear": (_linear, _render_linear, (*_TABLE_FLAGS, "--scores")),
+    "test proportion": (_proportion, _render_proportion,
+                        ("--successes", "--trials", "--null", "--sided", "--level")),
+    "assoc odds-ratio": (_odds_ratio, _render_odds_ratio,
+                         (*_TABLE_FLAGS, "--rows", "--cols", "--zero-correction")),
     "assoc correlation": (_correlation,
-                          lambda results: [f"  correlation r = {results['correlation']:.6g}"]),
-    "dist binomial": (_binomial, _render_dist),
-    "dist multinomial": (_multinomial, _render_dist),
-    "dist poisson": (_poisson, _render_dist),
-    "simulate calibrate": (_calibrate, _render_calibrate),
+                          lambda results: [f"  correlation r = {results['correlation']:.6g}"],
+                          (*_TABLE_FLAGS, "--scores")),
+    "dist binomial": (_binomial, _render_dist, ("--trials", "--prob", "--count")),
+    "dist multinomial": (_multinomial, _render_dist, ("--trials", "--probs", "--counts")),
+    "dist poisson": (_poisson, _render_dist, ("--rate", "--count")),
+    "simulate calibrate": (_calibrate, _render_calibrate,
+                           ("--seed", "--replicates", "--scheme", "--test", "--scores",
+                            *_SCHEME_FLAGS)),
     "simulate coverage": (_coverage, lambda results: [
         f"  empirical coverage = {results['coverage']:.4f} "
-        f"(target level {results['level']:g})"]),
+        f"(target level {results['level']:g})"],
+        ("--seed", "--replicates", "--pi", "--trials", "--level")),
 }
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="input CSV path")
-    parser.add_argument("--input-format", choices=("counts", "records"),
-                        default="counts",
-                        help="counts: label matrix; records: two labeled columns")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format")
+# Every option once: its flag and its add_argument keywords.
+_OPTIONS = {
+    "--format": dict(choices=("text", "json"), default="text", help="output format"),
+    "--input": dict(help="input CSV path"),
+    "--input-format": dict(choices=("counts", "records"), default="counts",
+                           help="counts: label matrix; records: two labeled columns"),
+    "--given": dict(choices=("rows", "cols"), help="conditional probabilities given this axis"),
+    "--emit-counts": dict(action="store_true", help="print the parsed table as a counts CSV"),
+    "--scores": dict(help="row and column scores, e.g. 1:5,1:5 or 1,2;1,2,3"),
+    "--successes": dict(type=int, help="observed successes y"),
+    "--trials": dict(type=int, help="number of trials n"),
+    "--null": dict(type=float, help="null proportion pi0"),
+    "--sided": dict(choices=("two", "upper", "lower"), default="two",
+                    help="alternative for the score z test"),
+    "--level": dict(type=float, default=0.95, help="confidence level of the Wald interval"),
+    "--rows": dict(default="1,2", help="two 1-based row indices (default 1,2)"),
+    "--cols": dict(default="1,2", help="two 1-based column indices (default 1,2)"),
+    "--zero-correction": dict(action="store_true", help="add 0.5 to each cell of the sub-table"),
+    "--prob": dict(type=float, help="binomial success probability"),
+    "--count": dict(type=int, help="outcome count y"),
+    "--probs": dict(help="multinomial category probabilities, e.g. .2,.8"),
+    "--counts": dict(help="multinomial category counts, e.g. 7,3"),
+    "--rate": dict(type=float, help="Poisson rate"),
+    "--seed": dict(type=int, help="64-bit RNG seed (required)"),
+    "--replicates": dict(type=int, default=10000, help="number of replicates (default 10000)"),
+    "--scheme": dict(choices=tuple(_SCHEMES), default="multinomial", help="sampling scheme"),
+    "--test": dict(choices=("pearson", "deviance", "mantel-haenszel"), default="pearson",
+                   help="statistic to calibrate"),
+    "--n": dict(type=int, help="multinomial total"),
+    "--row-marginals": dict(help="row margin probabilities, e.g. .5,.5"),
+    "--col-marginals": dict(help="column margin probabilities"),
+    "--row-totals": dict(help="fixed row totals, e.g. 200,200"),
+    "--total-rate": dict(type=float, help="poisson grand-total rate"),
+    "--pi": dict(type=float, help="true proportion"),
+}
+_GROUP_HELP = {"describe": "probability estimates for a table", "test": "hypothesis tests",
+               "assoc": "association measures", "dist": "probability mass evaluation",
+               "simulate": "Monte Carlo calibration"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One leaf parser per command, taking only that command's flags;
+    abbreviations are off, so each option has exactly one spelling."""
     parser = argparse.ArgumentParser(
-        prog="cattab",
-        description="Analysis of two-way contingency tables.")
+        prog="cattab", description="Analysis of two-way contingency tables.",
+        allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("describe", help="probability estimates for a table")
-    _add_common(p)
-    p.add_argument("--given", choices=("rows", "cols"),
-                   help="also show conditional probabilities given this axis")
-    p.add_argument("--emit-counts", action="store_true",
-                   help="print the parsed table back out as a counts CSV")
-
-    p = sub.add_parser("test", help="hypothesis tests")
-    p.add_argument("which", choices=("independence", "homogeneity", "linear",
-                                     "proportion"))
-    _add_common(p)
-    p.add_argument("--scores", help="row and column scores, e.g. 1:5,1:5")
-    p.add_argument("--successes", type=int, help="observed successes y")
-    p.add_argument("--trials", type=int, help="number of trials n")
-    p.add_argument("--null", type=float, help="null proportion pi0")
-    p.add_argument("--sided", choices=("two", "upper", "lower"), default="two",
-                   help="alternative for the score z test")
-    p.add_argument("--level", type=float, default=0.95,
-                   help="confidence level for the Wald interval")
-
-    p = sub.add_parser("assoc", help="association measures")
-    p.add_argument("which", choices=("odds-ratio", "correlation"))
-    _add_common(p)
-    p.add_argument("--rows", default="1,2",
-                   help="two 1-based row indices (default 1,2)")
-    p.add_argument("--cols", default="1,2",
-                   help="two 1-based column indices (default 1,2)")
-    p.add_argument("--zero-correction", action="store_true",
-                   help="add 0.5 to each cell of the 2x2 sub-table")
-    p.add_argument("--scores", help="row and column scores for correlation")
-
-    p = sub.add_parser("dist", help="probability mass evaluation")
-    p.add_argument("which", choices=("binomial", "multinomial", "poisson"))
-    _add_common(p)
-    p.add_argument("--trials", type=int, help="number of trials n")
-    p.add_argument("--prob", type=float, help="binomial success probability")
-    p.add_argument("--count", type=int, help="outcome count y")
-    p.add_argument("--probs", help="multinomial category probabilities, e.g. .2,.8")
-    p.add_argument("--counts", help="multinomial category counts, e.g. 7,3")
-    p.add_argument("--rate", type=float, help="Poisson rate")
-
-    p = sub.add_parser("simulate", help="Monte Carlo calibration")
-    p.add_argument("which", choices=("calibrate", "coverage"))
-    _add_common(p)
-    p.add_argument("--seed", type=int, help="64-bit RNG seed (required)")
-    p.add_argument("--replicates", type=int, default=10000)
-    p.add_argument("--scheme", choices=tuple(_SCHEMES), default="multinomial")
-    p.add_argument("--test", choices=("pearson", "deviance", "mantel-haenszel"),
-                   default="pearson")
-    p.add_argument("--n", type=int, help="multinomial total")
-    p.add_argument("--row-marginals", help="row margin probabilities, e.g. .5,.5")
-    p.add_argument("--col-marginals", help="column margin probabilities")
-    p.add_argument("--row-totals", help="fixed row totals, e.g. 200,200")
-    p.add_argument("--total-rate", type=float, help="poisson grand-total rate")
-    p.add_argument("--scores", help="scores for the mantel-haenszel null")
-    p.add_argument("--pi", type=float, help="true proportion for coverage")
-    p.add_argument("--trials", type=int, help="binomial trials for coverage")
-    p.add_argument("--level", type=float, default=0.95)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    whiches = {}  # group -> its subparsers, one per command
+    for command, (_, _, flags) in _COMMANDS.items():
+        group, _, which = command.partition(" ")
+        if not which:
+            leaf = groups.add_parser(group, help=_GROUP_HELP[group], allow_abbrev=False)
+        else:
+            if group not in whiches:
+                whiches[group] = groups.add_parser(
+                    group, help=_GROUP_HELP[group], allow_abbrev=False,
+                ).add_subparsers(dest="which", required=True)
+            leaf = whiches[group].add_parser(which, allow_abbrev=False)
+        for flag in (*flags, "--format"):
+            leaf.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -682,7 +680,7 @@ def run(args: argparse.Namespace) -> str:
         return counts_csv_text(_load_table(args))
     which = getattr(args, "which", None)
     command = args.command if which is None else f"{args.command} {which}"
-    compute, render = _COMMANDS[command]
+    compute, render, _ = _COMMANDS[command]
     results, warnings, digest_payload = compute(args)
     if args.format == "json":
         envelope = {

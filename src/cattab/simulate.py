@@ -29,7 +29,7 @@ from .inference import (
     mantel_haenszel_test,
     wald_ci,
 )
-from .table import ContingencyTable, _ContentEq
+from .table import _INT64_MAX, ContingencyTable, _ContentEq
 
 __all__ = [
     "SchemeKind",
@@ -47,7 +47,6 @@ __all__ = [
 RNG_ALGORITHM = "numpy-pcg64"
 
 _NULL_TOL = 1e-9
-_INT64_MAX = int(np.iinfo(np.int64).max)
 # The largest rate numpy's Poisson sampler accepts: int64 max less ten
 # standard deviations, 9.223372006484771e18.
 _POISSON_MAX_RATE = float(_INT64_MAX) - 10.0 * math.sqrt(float(_INT64_MAX))
@@ -231,11 +230,14 @@ def _require_null(scheme: SamplingScheme, test: StatisticKind,
     rows = pi.sum(axis=1)
     cols = pi.sum(axis=0)
     if test in (StatisticKind.PEARSON_CHISQ, StatisticKind.DEVIANCE_CHISQ):
+        if scores is not None:
+            raise ValueError(f"scores apply only to the {StatisticKind.MANTEL_HAENSZEL.value} "
+                             f"test, not {test.value}")
         if np.max(np.abs(pi - np.outer(rows, cols))) > _NULL_TOL:
             raise ValueError(
                 "scheme does not satisfy the no-association null: cell "
                 "probabilities are not the product of their margins")
-        return scores
+        return None
     # Linear-association null: zero correlation under the given scores.
     if scores is None:
         scores = ScoreAssignment(*_integer_scores(*scheme.shape))
@@ -276,7 +278,8 @@ def calibrate_null(
     The scheme must actually satisfy the null being tested (rank-1 cell
     probabilities for the chi-square tests, zero score correlation for
     the linear-association test); calibrating under an alternative is
-    refused. Requires at least 1000 replicates.
+    refused, and so are ``scores`` with a chi-square test, which does
+    not use them. Requires at least 1000 replicates.
     """
     if isinstance(test, str) and test in _TEST_NAMES:
         kind = _TEST_NAMES[test]
@@ -328,5 +331,8 @@ def coverage_wald_ci(
             f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ys = rng.binomial(trials, true_pi, size=replicates)
-    covered = sum(wald_ci(int(y), trials, level).contains(true_pi) for y in ys)
+    # One interval per distinct count: at most trials + 1 of them.
+    values, counts = np.unique(ys, return_counts=True)
+    covered = sum(int(c) for y, c in zip(values.tolist(), counts)
+                  if wald_ci(y, trials, level).contains(true_pi))
     return covered / replicates

@@ -172,34 +172,33 @@ def _clip01(v: float) -> float:
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
 
-def reg_gamma_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), in [0, 1]."""
+def _reg_gamma(a: float, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)), not yet clipped to [0, 1]: Temme's expansion
+    near a large shape, else the power series below x = a + 1 and the
+    continued fraction above it, each tail the other's complement."""
     _check_gamma_args(a, x)
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x == math.inf:
-        return 1.0
+        return 1.0, 0.0
     temme = _gamma_temme(a, x)
     if temme is not None:
-        return _clip01(temme[0])
+        return temme
     if x < a + 1.0:
-        return _clip01(_gamma_series(a, x))
-    return _clip01(1.0 - _gamma_cf(a, x))
+        series = _gamma_series(a, x)
+        return series, 1.0 - series
+    cf = _gamma_cf(a, x)
+    return 1.0 - cf, cf
+
+
+def reg_gamma_lower(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x), in [0, 1]."""
+    return _clip01(_reg_gamma(a, x)[0])
 
 
 def reg_gamma_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), in [0, 1]."""
-    _check_gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    temme = _gamma_temme(a, x)
-    if temme is not None:
-        return _clip01(temme[1])
-    if x < a + 1.0:
-        return _clip01(1.0 - _gamma_series(a, x))
-    return _clip01(_gamma_cf(a, x))
+    return _clip01(_reg_gamma(a, x)[1])
 
 
 def _chi2_sf_1df(x: float) -> float:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cattab import cli
 from cattab.cli import main
 from cattab.fixtures import fixture_path
 from cattab.io import (
@@ -625,6 +626,18 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "row scores, got 1000000000000000000" in err
 
+    @pytest.mark.parametrize("test", ["pearson", "deviance"])
+    @pytest.mark.parametrize("scores", ["1,5;1,9", "junk"])
+    def test_input_error_scores_with_a_chi_square_calibration(self, capsys, test, scores):
+        # Only mantel-haenszel takes scores; these exited 0 with the scores
+        # ignored. The option is refused before its value is parsed.
+        code, out, err = run_cli(capsys, "simulate", "calibrate", "--n", "100",
+                                 "--row-marginals", ".5,.5", "--col-marginals", ".5,.5",
+                                 "--replicates", "1000", "--seed", "1", "--test", test,
+                                 "--scores", scores)
+        assert (code, out) == (2, "")
+        assert err == "cattab: error: --scores applies only to --test mantel-haenszel\n"
+
     def test_domain_error_odds_ratio_zero_over_zero(self, capsys, tmp_path):
         # Both cross products are zero; this read "inf" both ways round.
         path = tmp_path / "zero_row.csv"
@@ -820,3 +833,57 @@ def test_cli_contract_fuzz(tmp_path, case):
     assert "Traceback" not in stderr.getvalue()
     if code == 0:
         assert stderr.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# Grammar: each command's parser takes exactly the options the fuzz above
+# draws for it, and refuses every other option any command takes.
+
+
+def _takes(command):
+    flags = {*_FORMAT, *_SUBCOMMANDS[command]}
+    if command in _TABLE_COMMANDS:
+        flags |= {"--input", "--input-format"}
+    if command == ("simulate", "calibrate"):
+        flags |= {"--scheme", *(flag for opts in _SCHEME_OPTIONS.values() for flag in opts)}
+    return flags
+
+
+_ALL_FLAGS = set().union(*map(_takes, _SUBCOMMANDS))
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS), ids=" ".join)
+def test_parser_takes_its_own_options(command):
+    parser = cli._build_parser()
+    for flag in sorted(_takes(command)):
+        keywords = cli._OPTIONS[flag]
+        value = [] if keywords.get("action") == "store_true" else [
+            keywords.get("choices", ["1"])[0]]
+        args = parser.parse_args([*command, flag, *value])
+        assert getattr(args, flag[2:].replace("-", "_")) not in (None, False), flag
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS), ids=" ".join)
+def test_parser_refuses_options_of_other_commands(capsys, command):
+    for flag in sorted(_ALL_FLAGS - _takes(command)):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag])
+        code, out, err = exc.value.code, *capsys.readouterr()
+        assert (code, out) == (2, ""), flag
+        assert f"cattab: error: unrecognized arguments: {flag}\n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # The last option of each is a prefix of one the command takes (--counts,
+    # --probs, --null, --replicates), which argparse would otherwise read it as.
+    ["dist", "multinomial", "--trials", "10", "--probs", ".2,.8", "--count", "7,3"],
+    ["dist", "multinomial", "--trials", "10", "--counts", "7,3", "--prob", ".2,.8"],
+    ["test", "proportion", "--successes", "3", "--trials", "10", "--n", ".5"],
+    ["simulate", "coverage", "--pi", ".5", "--trials", "100", "--seed", "1", "--rep", "1000"],
+], ids=lambda argv: argv[-2])
+def test_parser_refuses_abbreviated_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    code, out, err = exc.value.code, *capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"cattab: error: unrecognized arguments: {argv[-2]} {argv[-1]}\n" in err

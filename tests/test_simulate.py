@@ -214,6 +214,13 @@ class TestCalibrateNull:
             calibrate_null(scheme, "mantel_haenszel", 1000, seed=1,
                            scores=ScoreAssignment((1, 2), (1, 2)))
 
+    @pytest.mark.parametrize("test", ["pearson", "deviance"])
+    def test_rejects_scores_with_a_chi_square_test(self, test):
+        # The chi-square statistics take no scores; these were ignored.
+        scheme = SamplingScheme.multinomial(500, UNIFORM_2X2)
+        with pytest.raises(ValueError, match="scores apply only to the mantel_haenszel test"):
+            calibrate_null(scheme, test, 1000, seed=1, scores=ScoreAssignment((1, 5), (1, 9)))
+
     def test_rejects_too_few_replicates(self):
         scheme = SamplingScheme.multinomial(500, UNIFORM_2X2)
         with pytest.raises(ValueError, match="replicates"):
@@ -251,6 +258,18 @@ class TestCoverage:
         mc = coverage_wald_ci(0.05, 10, 0.95, 10000, seed=99)
         se = math.sqrt(exact * (1 - exact) / 10000)
         assert abs(mc - exact) <= 3 * se
+
+    @pytest.mark.parametrize("true_pi, trials, level, seed", [
+        (0.5, 100, 0.95, 1), (0.05, 10, 0.95, 99), (0.4, 30, 0.9, 5), (0.999, 3, 0.99, 8),
+        (0.5, 10**12, 0.95, 2),  # every replicate's count distinct
+    ])
+    def test_equals_the_sum_over_replicates(self, true_pi, trials, level, seed):
+        # One interval per distinct count gives the fraction that one
+        # interval per replicate gives, exactly.
+        ys = np.random.default_rng(np.random.SeedSequence(seed)).binomial(
+            trials, true_pi, size=2000)
+        covered = sum(wald_ci(int(y), trials, level).contains(true_pi) for y in ys)
+        assert coverage_wald_ci(true_pi, trials, level, 2000, seed) == covered / 2000
 
     def test_reproducible(self):
         a = coverage_wald_ci(0.4, 30, 0.9, 1000, seed=5)
