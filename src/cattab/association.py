@@ -129,6 +129,16 @@ def odds_ratio(
     return OddsRatioResult(estimate, (i, i2, j, j2), zero_correction)
 
 
+def _scored_moments(weights: np.ndarray, row_tot: np.ndarray, col_tot: np.ndarray,
+                    total: float, u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+    """Cross-product and the two sums of squares of the centred scores
+    under cell weights with the given margins and total: counts with
+    their n, or cell probabilities with 1.0."""
+    du = u - row_tot @ u / total
+    dv = v - col_tot @ v / total
+    return float(du @ weights @ dv), float(row_tot @ du**2), float(col_tot @ dv**2)
+
+
 def pearson_correlation(
     table: ContingencyTable,
     scores: ScoreAssignment | None = None,
@@ -153,16 +163,12 @@ def pearson_correlation(
     n = table.total()
     if n < 2:
         raise ValueError("correlation needs at least 2 observations")
-    row_tot = table.row_totals.astype(float)
-    col_tot = table.col_totals.astype(float)
-    du = u - row_tot @ u / n
-    dv = v - col_tot @ v / n
-    ss_u = float(row_tot @ du**2)
-    ss_v = float(col_tot @ dv**2)
+    # matmul casts the int64 counts to a float copy of its own.
+    cross, ss_u, ss_v = _scored_moments(table.counts, table.row_totals.astype(float),
+                                        table.col_totals.astype(float), n, u, v)
     if ss_u <= 0.0:
         raise ValueError("row scores have zero variance over the observed data")
     if ss_v <= 0.0:
         raise ValueError("column scores have zero variance over the observed data")
-    # matmul casts the int64 counts to a float copy of its own.
-    r = float(du @ table.counts @ dv) / math.sqrt(ss_u * ss_v)
+    r = cross / math.sqrt(ss_u * ss_v)
     return max(-1.0, min(1.0, r))

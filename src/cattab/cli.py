@@ -51,6 +51,7 @@ from .distributions import (
 from .inference import (
     Sidedness,
     TestResult,
+    _null_se,
     homogeneity_test,
     independence_test,
     lr_test_proportion,
@@ -158,9 +159,9 @@ def _parse_scores(text: str | None, shape: tuple[int, int]) -> ScoreAssignment |
                            tuple(_parse_axis_scores(parts[1], shape[1], "column")))
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise InputFormatError(f"bad {flag} value {text!r}") from None
     if not values:
@@ -168,15 +169,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise InputFormatError(f"bad {flag} value {text!r}") from None
-
-
 def _parse_index_pair(text: str, flag: str, limit: int) -> tuple[int, int]:
-    values = _parse_int_list(text, flag)
+    values = _parse_list(text, flag, int)
     if len(values) != 2:
         raise InputFormatError(f"{flag} needs exactly two 1-based indices")
     for v in values:
@@ -186,8 +180,6 @@ def _parse_index_pair(text: str, flag: str, limit: int) -> tuple[int, int]:
 
 
 def _load_table(args) -> ContingencyTable:
-    if args.input is None:
-        raise InputFormatError("--input is required for this command")
     if args.input_format == "records":
         table, _ = parse_records_csv(args.input)
         return table
@@ -286,17 +278,13 @@ def _render_describe(results: dict) -> list[str]:
 
 def _proportion(args):
     y, n, pi0 = args.successes, args.trials, args.null
-    if y is None or n is None:
-        raise InputFormatError("--successes and --trials are required")
-    if pi0 is None:
-        raise InputFormatError("--null is required for the proportion test")
     warnings: list[str] = []
     estimate, se = mle_proportion(y, n)
     score = score_test_proportion(y, n, pi0, _SIDEDNESS[args.sided])
     results = {
         "successes": y, "trials": n, "null": pi0,
         "estimate": estimate, "estimate_se": se,
-        "score": {**_test_payload(score), "null_se": math.sqrt(pi0 * (1 - pi0) / n)},
+        "score": {**_test_payload(score), "null_se": _null_se(pi0, n)},
     }
     if 0 < y < n:
         results["wald"] = _test_payload(wald_test_proportion(y, n, pi0))
@@ -437,8 +425,6 @@ def _dist_report(results: dict):
 
 
 def _binomial(args):
-    if args.trials is None or args.prob is None or args.count is None:
-        raise InputFormatError("--trials, --prob and --count are required")
     spec = BinomialSpec(args.trials, args.prob)
     mean, variance = binomial_moments(spec)
     return _dist_report({
@@ -452,10 +438,8 @@ def _binomial(args):
 
 
 def _multinomial(args):
-    if args.trials is None or not args.probs or not args.counts:
-        raise InputFormatError("--trials, --probs and --counts are required")
-    probs = _parse_float_list(args.probs, "--probs")
-    counts = _parse_int_list(args.counts, "--counts")
+    probs = _parse_list(args.probs, "--probs")
+    counts = _parse_list(args.counts, "--counts", int)
     spec = MultinomialSpec(args.trials, tuple(probs))
     return _dist_report({
         "distribution": "multinomial",
@@ -467,8 +451,6 @@ def _multinomial(args):
 
 
 def _poisson(args):
-    if args.rate is None or args.count is None:
-        raise InputFormatError("--rate and --count are required")
     spec = PoissonSpec(args.rate)
     return _dist_report({
         "distribution": "poisson",
@@ -485,13 +467,13 @@ def _render_dist(results: dict) -> list[str]:
 
 
 def _joint(args) -> np.ndarray:
-    return np.outer(_parse_float_list(args.row_marginals, "--row-marginals"),
-                    _parse_float_list(args.col_marginals, "--col-marginals"))
+    return np.outer(_parse_list(args.row_marginals, "--row-marginals"),
+                    _parse_list(args.col_marginals, "--col-marginals"))
 
 
 def _binomial_rows_scheme(args) -> SamplingScheme:
-    col_marg = _parse_float_list(args.col_marginals, "--col-marginals")
-    totals = _parse_int_list(args.row_totals, "--row-totals")
+    col_marg = _parse_list(args.col_marginals, "--col-marginals")
+    totals = _parse_list(args.row_totals, "--row-totals", int)
     return SamplingScheme.binomial_rows(totals, np.tile(np.asarray(col_marg), (len(totals), 1)))
 
 
@@ -516,7 +498,7 @@ def _scheme_from_args(args) -> SamplingScheme:
             raise InputFormatError(
                 f"{flag} does not apply to the {args.scheme} scheme, which "
                 f"takes {', '.join(takes)}")
-    if any(given[flag] in (None, "") for flag in takes):
+    if any(given[flag] is None for flag in takes):
         raise InputFormatError(
             f"{', '.join(takes[:-1])} and {takes[-1]} are required for the "
             f"{args.scheme} scheme")
@@ -529,8 +511,6 @@ def _scheme_payload(scheme: SamplingScheme) -> dict:
 
 
 def _calibrate(args):
-    if args.seed is None:
-        raise InputFormatError("--seed is required for simulate commands")
     if args.scores is not None and args.test != "mantel-haenszel":
         raise InputFormatError("--scores applies only to --test mantel-haenszel")
     scheme = _scheme_from_args(args)
@@ -562,10 +542,6 @@ def _render_calibrate(results: dict) -> list[str]:
 
 
 def _coverage(args):
-    if args.seed is None:
-        raise InputFormatError("--seed is required for simulate commands")
-    if args.pi is None or args.trials is None:
-        raise InputFormatError("--pi and --trials are required")
     coverage = coverage_wald_ci(args.pi, args.trials, args.level, args.replicates, args.seed)
     results = {
         "true_pi": args.pi, "trials": args.trials, "level": args.level,
@@ -613,27 +589,27 @@ _COMMANDS = {
 # Every option once: its flag and its add_argument keywords.
 _OPTIONS = {
     "--format": dict(choices=("text", "json"), default="text", help="output format"),
-    "--input": dict(help="input CSV path"),
+    "--input": dict(required=True, help="input CSV path"),
     "--input-format": dict(choices=("counts", "records"), default="counts",
                            help="counts: label matrix; records: two labeled columns"),
     "--given": dict(choices=("rows", "cols"), help="conditional probabilities given this axis"),
     "--emit-counts": dict(action="store_true", help="print the parsed table as a counts CSV"),
     "--scores": dict(help="row and column scores, e.g. 1:5,1:5 or 1,2;1,2,3"),
-    "--successes": dict(type=int, help="observed successes y"),
-    "--trials": dict(type=int, help="number of trials n"),
-    "--null": dict(type=float, help="null proportion pi0"),
+    "--successes": dict(required=True, type=int, help="observed successes y"),
+    "--trials": dict(required=True, type=int, help="number of trials n"),
+    "--null": dict(required=True, type=float, help="null proportion pi0"),
     "--sided": dict(choices=("two", "upper", "lower"), default="two",
                     help="alternative for the score z test"),
     "--level": dict(type=float, default=0.95, help="confidence level of the Wald interval"),
     "--rows": dict(default="1,2", help="two 1-based row indices (default 1,2)"),
     "--cols": dict(default="1,2", help="two 1-based column indices (default 1,2)"),
     "--zero-correction": dict(action="store_true", help="add 0.5 to each cell of the sub-table"),
-    "--prob": dict(type=float, help="binomial success probability"),
-    "--count": dict(type=int, help="outcome count y"),
-    "--probs": dict(help="multinomial category probabilities, e.g. .2,.8"),
-    "--counts": dict(help="multinomial category counts, e.g. 7,3"),
-    "--rate": dict(type=float, help="Poisson rate"),
-    "--seed": dict(type=int, help="64-bit RNG seed (required)"),
+    "--prob": dict(required=True, type=float, help="binomial success probability"),
+    "--count": dict(required=True, type=int, help="outcome count y"),
+    "--probs": dict(required=True, help="multinomial category probabilities, e.g. .2,.8"),
+    "--counts": dict(required=True, help="multinomial category counts, e.g. 7,3"),
+    "--rate": dict(required=True, type=float, help="Poisson rate"),
+    "--seed": dict(required=True, type=int, help="64-bit RNG seed"),
     "--replicates": dict(type=int, default=10000, help="number of replicates (default 10000)"),
     "--scheme": dict(choices=tuple(_SCHEMES), default="multinomial", help="sampling scheme"),
     "--test": dict(choices=("pearson", "deviance", "mantel-haenszel"), default="pearson",
@@ -643,7 +619,7 @@ _OPTIONS = {
     "--col-marginals": dict(help="column margin probabilities"),
     "--row-totals": dict(help="fixed row totals, e.g. 200,200"),
     "--total-rate": dict(type=float, help="poisson grand-total rate"),
-    "--pi": dict(type=float, help="true proportion"),
+    "--pi": dict(required=True, type=float, help="true proportion"),
 }
 _GROUP_HELP = {"describe": "probability estimates for a table", "test": "hypothesis tests",
                "assoc": "association measures", "dist": "probability mass evaluation",
@@ -652,7 +628,9 @@ _GROUP_HELP = {"describe": "probability estimates for a table", "test": "hypothe
 
 def _build_parser() -> argparse.ArgumentParser:
     """One leaf parser per command, taking only that command's flags;
-    abbreviations are off, so each option has exactly one spelling."""
+    abbreviations are off, so each option has exactly one spelling. Each
+    leaf is its own default ``leaf``, so that main can report an option
+    it refuses under its usage line."""
     parser = argparse.ArgumentParser(
         prog="cattab", description="Analysis of two-way contingency tables.",
         allow_abbrev=False)
@@ -671,6 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
             leaf = whiches[group].add_parser(which, allow_abbrev=False)
         for flag in (*flags, "--format"):
             leaf.add_argument(flag, **_OPTIONS[flag])
+        leaf.set_defaults(leaf=leaf)
     return parser
 
 
@@ -696,8 +675,11 @@ def run(args: argparse.Namespace) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # Nested parsers hand the arguments they refuse back to the top one,
+    # which would report them under its own usage line.
+    args, refused = _build_parser().parse_known_args(argv)
+    if refused:
+        args.leaf.error(f"unrecognized arguments: {' '.join(refused)}")
     try:
         output = run(args)
     except InputFormatError as exc:

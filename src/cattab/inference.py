@@ -165,6 +165,13 @@ def _z_p_value(z: float, sidedness: Sidedness) -> float:
     return normal_cdf(z)
 
 
+def _null_se(pi0: float, trials: int) -> float:
+    """sqrt(pi0 (1 - pi0) / n), as two roots: the product underflows to
+    0.0 at a subnormal pi0, and the roots stay nonzero at every interior
+    pi0 and every trials up to the int64 maximum."""
+    return math.sqrt(pi0) * math.sqrt((1.0 - pi0) / trials)
+
+
 def score_test_proportion(
     successes: int,
     trials: int,
@@ -177,8 +184,7 @@ def score_test_proportion(
     if not 0.0 < pi0 < 1.0:
         raise ValueError(f"null proportion must be interior, got {pi0}")
     sidedness = Sidedness(sidedness)
-    se0 = math.sqrt(pi0 * (1.0 - pi0) / trials)
-    z = (successes / trials - pi0) / se0
+    z = (successes / trials - pi0) / _null_se(pi0, trials)
     return TestResult(z, StatisticKind.SCORE_Z, 1, _z_p_value(z, sidedness),
                       sidedness=sidedness)
 

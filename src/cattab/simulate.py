@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import ScoreAssignment, _integer_scores
+from .association import ScoreAssignment, _integer_scores, _scored_moments
 from .inference import (
     StatisticKind,
     independence_test,
@@ -241,13 +241,8 @@ def _require_null(scheme: SamplingScheme, test: StatisticKind,
     # Linear-association null: zero correlation under the given scores.
     if scores is None:
         scores = ScoreAssignment(*_integer_scores(*scheme.shape))
-    u = np.asarray(scores.row_scores)
-    v = np.asarray(scores.col_scores)
-    du = u - rows @ u
-    dv = v - cols @ v
-    cov = float(du @ pi @ dv)
-    var_u = float(rows @ du**2)
-    var_v = float(cols @ dv**2)
+    cov, var_u, var_v = _scored_moments(pi, rows, cols, 1.0, np.asarray(scores.row_scores),
+                                        np.asarray(scores.col_scores))
     if var_u <= 0.0 or var_v <= 0.0:
         raise ValueError("degenerate scores: zero variance under the scheme")
     if abs(cov / math.sqrt(var_u * var_v)) > _NULL_TOL:

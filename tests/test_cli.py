@@ -3,12 +3,13 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cattab import cli
@@ -28,7 +29,10 @@ SURVEY = str(fixture_path("life_quality_survey"))
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -353,6 +357,13 @@ class TestCliCommands:
         assert ci["lower"] == pytest.approx(0.0160, abs=5e-4)
         assert ci["upper"] == pytest.approx(0.5840, abs=5e-4)
         assert ci["contains_null"] is True
+
+    def test_proportion_subnormal_null(self, capsys):
+        # The null SE underflowed to 0.0: a ZeroDivisionError traceback.
+        score = run_json(capsys, "test", "proportion", "--null", "5e-324",
+                         "--successes", "1", "--trials", "2")["results"]["score"]
+        assert score["statistic"] == pytest.approx(3.181212452e161, rel=1e-9)
+        assert score["null_se"] == pytest.approx(0.5 / 3.181212452e161, rel=1e-9)
 
     def test_proportion_upper_tail(self, capsys):
         env = run_json(capsys, "test", "proportion", "--successes", "3",
@@ -684,12 +695,13 @@ def test_readme_example_json_is_unchanged(capsys, example):
 
 @pytest.mark.parametrize("example", _golden("cli_outputs.json"),
                          ids=lambda example: " ".join(example["argv"]))
-def test_cli_output_is_unchanged(capsys, example):
+def test_cli_output_is_unchanged(capsys, monkeypatch, example):
     """Exit code, stdout and stderr of the README examples in text form,
     the benchmark's CLI commands (``golden/records.csv`` standing in for
     its large record file), each calibration scheme and some input and
     domain errors, in text and JSON, byte for byte as recorded in
     ``golden/cli_outputs.json``."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     code, out, err = run_cli(capsys, *_fixture_args(example["argv"]))
     assert (code, out, err) == (example["exit_code"], example["stdout"], example["stderr"])
 
@@ -815,6 +827,9 @@ def _argv(draw):
 
 
 @given(case=_argv())
+# A subnormal null: the score test's standard error underflowed to 0.0.
+@example(case=(["test", "proportion", "--null", "5e-324", "--successes", "1",
+                "--trials", "2"], ""))
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_contract_fuzz(tmp_path, case):
@@ -837,7 +852,8 @@ def test_cli_contract_fuzz(tmp_path, case):
 
 # ---------------------------------------------------------------------------
 # Grammar: each command's parser takes exactly the options the fuzz above
-# draws for it, and refuses every other option any command takes.
+# draws for it, and refuses every other option any command takes under
+# its own usage line.
 
 
 def _takes(command):
@@ -852,6 +868,23 @@ def _takes(command):
 _ALL_FLAGS = set().union(*map(_takes, _SUBCOMMANDS))
 
 
+def _required(command, but=None):
+    """The command's required options, each with the value 1 (parsed,
+    never run), leaving out ``but``."""
+    return [arg for flag in sorted(_takes(command))
+            if cli._OPTIONS[flag].get("required") and flag != but for arg in (flag, "1")]
+
+
+def _refused(capsys, command, options, words):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *options])
+    code, out, err = exc.value.code, *capsys.readouterr()
+    assert (code, out) == (2, ""), words
+    command = " ".join(command)
+    assert err.startswith(f"usage: cattab {command} [-h]")
+    assert err.endswith(f"\ncattab {command}: error: unrecognized arguments: {words}\n")
+
+
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS), ids=" ".join)
 def test_parser_takes_its_own_options(command):
     parser = cli._build_parser()
@@ -859,31 +892,71 @@ def test_parser_takes_its_own_options(command):
         keywords = cli._OPTIONS[flag]
         value = [] if keywords.get("action") == "store_true" else [
             keywords.get("choices", ["1"])[0]]
-        args = parser.parse_args([*command, flag, *value])
+        args = parser.parse_args([*command, *_required(command, but=flag), flag, *value])
         assert getattr(args, flag[2:].replace("-", "_")) not in (None, False), flag
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS), ids=" ".join)
 def test_parser_refuses_options_of_other_commands(capsys, command):
     for flag in sorted(_ALL_FLAGS - _takes(command)):
-        with pytest.raises(SystemExit) as exc:
-            main([*command, flag])
-        code, out, err = exc.value.code, *capsys.readouterr()
+        _refused(capsys, command, [*_required(command), flag], flag)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    # Each flag is a prefix of one the command takes (--counts, --probs,
+    # --null, --replicates), which argparse would otherwise read it as.
+    (("dist", "multinomial"), "--count", "7,3"),
+    (("dist", "multinomial"), "--prob", ".2,.8"),
+    (("test", "proportion"), "--n", ".5"),
+    (("simulate", "coverage"), "--rep", "1000"),
+], ids=["--count", "--prob", "--n", "--rep"])
+def test_parser_refuses_abbreviated_options(capsys, command, flag, value):
+    _refused(capsys, command, [*_required(command), flag, value], f"{flag} {value}")
+
+
+def test_refused_option_is_reported_under_the_commands_usage(capsys):
+    # This printed the top-level usage line, "usage: cattab [-h] [--version] {...}".
+    _refused(capsys, ("dist", "binomial"),
+             ["--trials", "10", "--prob", ".2", "--count", "7", "--input", "x.csv"],
+             "--input x.csv")
+
+
+def test_required_options():
+    # Each is required by every command that takes it; the scheme options
+    # are required per --scheme, which the parser cannot express.
+    assert {flag for flag, keywords in cli._OPTIONS.items() if keywords.get("required")} == {
+        "--input", "--seed", "--successes", "--trials", "--null", "--prob", "--count",
+        "--probs", "--counts", "--rate", "--pi"}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS), ids=" ".join)
+def test_missing_required_option_is_a_usage_error(capsys, command):
+    for flag in _required(command)[::2]:
+        code, out, err = run_cli(capsys, *command, *_required(command, but=flag))
         assert (code, out) == (2, ""), flag
-        assert f"cattab: error: unrecognized arguments: {flag}\n" in err
+        command_name = " ".join(command)
+        assert err.startswith(f"usage: cattab {command_name} [-h]")
+        assert err.endswith(
+            f"\ncattab {command_name}: error: the following arguments are required: {flag}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    # The last option of each is a prefix of one the command takes (--counts,
-    # --probs, --null, --replicates), which argparse would otherwise read it as.
-    ["dist", "multinomial", "--trials", "10", "--probs", ".2,.8", "--count", "7,3"],
-    ["dist", "multinomial", "--trials", "10", "--counts", "7,3", "--prob", ".2,.8"],
-    ["test", "proportion", "--successes", "3", "--trials", "10", "--n", ".5"],
-    ["simulate", "coverage", "--pi", ".5", "--trials", "100", "--seed", "1", "--rep", "1000"],
-], ids=lambda argv: argv[-2])
-def test_parser_refuses_abbreviated_options(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    code, out, err = exc.value.code, *capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert f"cattab: error: unrecognized arguments: {argv[-2]} {argv[-1]}\n" in err
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS), ids=" ".join)
+def test_help_shows_required_options_unbracketed(capsys, command):
+    code, out, _ = run_cli(capsys, *command, "--help")
+    assert code == 0
+    usage = out.split("\n\n")[0]
+    for flag in sorted(_takes(command)):
+        required = bool(cli._OPTIONS[flag].get("required"))
+        assert bool(re.search(rf"\s{flag}\s", usage)) == required, (flag, usage)
+        assert bool(re.search(rf"\[{flag}[\s\]]", usage)) != required, (flag, usage)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dist", "multinomial", "--trials", "3", "--probs", ".5,.5", "--counts", ""],
+     "--counts must list at least one number"),
+    (["simulate", "calibrate", "--seed", "1", "--scheme", "binomial-rows",
+      "--row-totals", "", "--col-marginals", ".5,.5"], "--row-totals must list at least one number"),
+])
+def test_empty_list_option_is_an_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"cattab: error: {message}\n")

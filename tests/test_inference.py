@@ -157,6 +157,15 @@ class TestScoreTest:
         res = score_test_proportion(3, 10, 0.5, "upper")
         assert res.sidedness is Sidedness.UPPER
 
+    def test_subnormal_null(self):
+        # pi0 = 2**-1074: pi0 (1 - pi0) / 2 underflowed to 0.0 and the z
+        # test raised ZeroDivisionError. z = (1/2) / sqrt(2**-1075) = 2**536.5.
+        res = score_test_proportion(1, 2, 5e-324)
+        assert math.isfinite(res.statistic)
+        assert res.statistic == pytest.approx(math.ldexp(math.sqrt(2.0), 536), rel=1e-12)
+        assert res.statistic == pytest.approx(3.18e161, rel=1e-3)
+        assert res.p_value == 0.0
+
 
 class TestWaldTest:
     def test_coin_flip(self):
