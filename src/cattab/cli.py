@@ -144,8 +144,8 @@ def _parse_axis_scores(text: str, length: int, axis: str) -> list[float]:
 def _parse_scores(text: str | None, shape: tuple[int, int]) -> ScoreAssignment | None:
     """Row and column scores for a table of the given shape: two colon
     ranges separated by a comma ("1:5,1:5") or two comma lists separated
-    by a semicolon ("1,2;1,2,3"); None when no scores are given."""
-    if not text:
+    by a semicolon ("1,2;1,2,3"); None when the option is absent."""
+    if text is None:
         return None
     if ";" in text:
         parts = text.split(";")
@@ -521,6 +521,7 @@ def _calibrate(args):
         "scheme": _scheme_payload(scheme),
         "test": report.statistic_kind.value,
         "replicates": report.replicates,
+        "degenerate_replicates": report.degenerate_replicates,
         "seed": report.seed,
         "rng_algorithm": report.rng_algorithm,
         "reference_df": report.reference_df,
@@ -534,7 +535,7 @@ def _calibrate(args):
 
 def _render_calibrate(results: dict) -> list[str]:
     return [f"  statistic: {results['test']}, replicates = {results['replicates']}, "
-            f"seed = {results['seed']}",
+            f"degenerate = {results['degenerate_replicates']}, seed = {results['seed']}",
             f"  empirical mean = {results['empirical_mean']:.6g} "
             f"(reference df = {results['reference_df']})",
             *(f"  rejection rate at alpha={alpha}: {rate:.4f}"

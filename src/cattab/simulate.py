@@ -8,9 +8,10 @@ row an independent multinomial draw of its design-fixed total) and
 sampler sit two calibration tools: null-distribution calibration of the
 chi-square tests and empirical coverage of the Wald interval.
 
-Every operation is a pure function of its inputs and a 64-bit seed;
-per-replicate streams are split deterministically from the master seed.
-The generator (numpy PCG64) is recorded in calibration reports.
+Every operation is a pure function of its inputs and a nonnegative
+integer seed: it draws from one numpy PCG64 stream seeded with it,
+``calibrate_null`` one replicate after another. Reports record the
+generator as ``RNG_ALGORITHM``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import ScoreAssignment, _integer_scores, _scored_moments
+from .distributions import _as_integer
 from .inference import (
     StatisticKind,
+    TestResult,
     independence_test,
     mantel_haenszel_test,
     wald_ci,
@@ -44,13 +47,14 @@ __all__ = [
     "coverage_wald_ci",
 ]
 
-RNG_ALGORITHM = "numpy-pcg64"
+RNG_ALGORITHM = "numpy-pcg64-sequential"
 
 _NULL_TOL = 1e-9
 # The largest rate numpy's Poisson sampler accepts: int64 max less ten
 # standard deviations, 9.223372006484771e18.
 _POISSON_MAX_RATE = float(_INT64_MAX) - 10.0 * math.sqrt(float(_INT64_MAX))
 _MIN_CALIBRATION_REPLICATES = 1000
+_ALPHAS = (0.10, 0.05, 0.01)
 
 
 class SchemeKind(str, enum.Enum):
@@ -73,7 +77,7 @@ def _frozen_float_matrix(values, name: str) -> np.ndarray:
 def _total(value, name: str) -> int:
     if not 0 <= value <= _INT64_MAX:  # NaN and infinities too
         raise ValueError(f"{name} must be between 0 and {_INT64_MAX}, got {value}")
-    return int(value)
+    return _as_integer(value, name)
 
 
 class SamplingScheme(_ContentEq, abc.ABC):
@@ -194,9 +198,12 @@ class MultinomialScheme(SamplingScheme):
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Aggregate behaviour of a test statistic under a null scheme."""
+    """Aggregate behaviour of a test statistic under a null scheme. The
+    mean and rejection rates are over the replicates whose statistic is
+    defined; ``degenerate_replicates`` counts the others."""
 
     replicates: int
+    degenerate_replicates: int
     statistic_kind: StatisticKind
     empirical_mean: float
     rejection_rates: dict[float, float]
@@ -217,11 +224,27 @@ def _as_table(counts: np.ndarray) -> ContingencyTable:
     )
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The one stream every operation draws from: PCG64 seeded with a
+    nonnegative integer of any size."""
+    seed = _as_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _replicate_count(replicates: int) -> int:
+    if replicates < _MIN_CALIBRATION_REPLICATES:
+        raise ValueError(
+            f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")
+    return _total(replicates, "replicates")
+
+
 def sample_table(scheme: SamplingScheme, seed: int) -> ContingencyTable:
-    """Draw one table under the scheme. Identical (scheme, seed) pairs
-    produce identical tables."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _as_table(scheme.draw(rng))
+    """Draw one table under the scheme: the first replicate that
+    ``calibrate_null`` draws with the same seed. Identical (scheme, seed)
+    pairs produce identical tables."""
+    return _as_table(scheme.draw(_rng(seed)))
 
 
 def _require_null(scheme: SamplingScheme, test: StatisticKind,
@@ -259,22 +282,39 @@ _TEST_NAMES = {
 }
 
 
+def _replicate(counts: np.ndarray, kind: StatisticKind,
+               scores: ScoreAssignment | None) -> TestResult | None:
+    """The test on one drawn table, or None where its statistic is
+    undefined: a zero total, a zero margin or zero score variance."""
+    try:
+        tab = _as_table(counts)
+        if kind is StatisticKind.MANTEL_HAENSZEL:
+            return mantel_haenszel_test(tab, scores)
+        pearson, deviance, _ = independence_test(tab)
+    except ValueError:
+        return None
+    return pearson if kind is StatisticKind.PEARSON_CHISQ else deviance
+
+
 def calibrate_null(
     scheme: SamplingScheme,
     test: str | StatisticKind,
     replicates: int,
     seed: int,
     scores: ScoreAssignment | None = None,
-    alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
 ) -> CalibrationReport:
     """Simulate the named test statistic under a null scheme and report
-    its empirical mean and rejection rates.
+    its empirical mean and rejection rates at alpha = .10, .05 and .01.
 
     The scheme must actually satisfy the null being tested (rank-1 cell
     probabilities for the chi-square tests, zero score correlation for
     the linear-association test); calibrating under an alternative is
     refused, and so are ``scores`` with a chi-square test, which does
-    not use them. Requires at least 1000 replicates.
+    not use them. Requires at least 1000 replicates. A replicate whose
+    statistic is undefined (a zero total, a zero margin or zero score
+    variance, likeliest at small n) is counted in
+    ``degenerate_replicates`` and left out of the mean and the rates; if
+    every replicate is, the call raises ``ValueError``.
     """
     if isinstance(test, str) and test in _TEST_NAMES:
         kind = _TEST_NAMES[test]
@@ -282,31 +322,32 @@ def calibrate_null(
         kind = StatisticKind(test)
     if kind not in _TEST_NAMES.values():
         raise ValueError(f"cannot calibrate statistic kind {kind.value!r}")
-    if replicates < _MIN_CALIBRATION_REPLICATES:
-        raise ValueError(
-            f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")
+    replicates = _replicate_count(replicates)
     scores = _require_null(scheme, kind, scores)
+    rng = _rng(seed)
 
+    # Allocated up front, so that a replicate count too large for memory
+    # fails here and not after a long run.
     stats = np.empty(replicates)
     p_values = np.empty(replicates)
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    for k, child in enumerate(children):
-        tab = _as_table(scheme.draw(np.random.default_rng(child)))
-        if kind is StatisticKind.MANTEL_HAENSZEL:
-            res = mantel_haenszel_test(tab, scores)
-        else:
-            pearson, deviance, _ = independence_test(tab)
-            res = pearson if kind is StatisticKind.PEARSON_CHISQ else deviance
-        stats[k] = res.statistic
-        p_values[k] = res.p_value
-        df = res.df
-
+    defined = 0
+    for _ in range(replicates):
+        res = _replicate(scheme.draw(rng), kind, scores)
+        if res is None:
+            continue
+        if not defined:
+            reference_df = res.df
+        stats[defined], p_values[defined] = res.statistic, res.p_value
+        defined += 1
+    if not defined:
+        raise ValueError(f"the statistic is undefined in all {replicates} replicates")
     return CalibrationReport(
         replicates=replicates,
+        degenerate_replicates=replicates - defined,
         statistic_kind=kind,
-        empirical_mean=float(stats.mean()),
-        rejection_rates={a: float(np.mean(p_values <= a)) for a in alphas},
-        reference_df=df,
+        empirical_mean=float(stats[:defined].mean()),
+        rejection_rates={a: float(np.mean(p_values[:defined] <= a)) for a in _ALPHAS},
+        reference_df=reference_df,
         seed=int(seed),
     )
 
@@ -320,12 +361,9 @@ def coverage_wald_ci(
         raise ValueError(f"true proportion must be interior, got {true_pi}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _total(trials, "trials")
-    if replicates < _MIN_CALIBRATION_REPLICATES:
-        raise ValueError(
-            f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ys = rng.binomial(trials, true_pi, size=replicates)
+    trials = _total(trials, "trials")
+    replicates = _replicate_count(replicates)
+    ys = _rng(seed).binomial(trials, true_pi, size=replicates)
     # One interval per distinct count: at most trials + 1 of them.
     values, counts = np.unique(ys, return_counts=True)
     covered = sum(int(c) for y, c in zip(values.tolist(), counts)

@@ -427,7 +427,7 @@ class TestCliCommands:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
         payload = json.loads(out1)
-        assert payload["results"]["rng_algorithm"] == "numpy-pcg64"
+        assert payload["results"]["rng_algorithm"] == "numpy-pcg64-sequential"
         assert 0.8 < payload["results"]["coverage"] <= 1.0
 
     def test_simulate_calibrate_deterministic(self, capsys):
@@ -441,6 +441,16 @@ class TestCliCommands:
         payload = json.loads(out1)
         assert payload["results"]["reference_df"] == 1
         assert 0.5 < payload["results"]["empirical_mean"] < 1.5
+
+    def test_simulate_calibrate_at_small_n(self, capsys):
+        # A replicate with an empty row or column is counted and left
+        # out; it used to end the run with exit 3.
+        env = run_json(capsys, "simulate", "calibrate", "--scheme", "multinomial",
+                       "--n", "10", "--row-marginals", ".5,.5", "--col-marginals", ".5,.5",
+                       "--replicates", "1000", "--seed", "1")
+        results = env["results"]
+        assert list(results)[2:4] == ["replicates", "degenerate_replicates"]
+        assert results["degenerate_replicates"] == 1
 
     def test_simulate_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "coverage", "--pi", "0.5",
@@ -951,11 +961,20 @@ def test_help_shows_required_options_unbracketed(capsys, command):
         assert bool(re.search(rf"\[{flag}[\s\]]", usage)) != required, (flag, usage)
 
 
+_EMPTY_SCORES = ("bad --scores value '': expected ROWS,COLS with colon ranges, "
+                 "or ROWS;COLS with comma lists")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["dist", "multinomial", "--trials", "3", "--probs", ".5,.5", "--counts", ""],
      "--counts must list at least one number"),
     (["simulate", "calibrate", "--seed", "1", "--scheme", "binomial-rows",
       "--row-totals", "", "--col-marginals", ".5,.5"], "--row-totals must list at least one number"),
+    # An empty --scores is refused, not read as no scores.
+    (["test", "linear", "--input", SURVEY, "--scores", ""], _EMPTY_SCORES),
+    (["assoc", "correlation", "--input", SURVEY, "--scores", ""], _EMPTY_SCORES),
+    (["simulate", "calibrate", "--seed", "1", "--n", "100", "--row-marginals", ".5,.5",
+      "--col-marginals", ".5,.5", "--test", "mantel-haenszel", "--scores", ""], _EMPTY_SCORES),
 ])
 def test_empty_list_option_is_an_input_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cattab.association import ScoreAssignment
-from cattab.distributions import BinomialSpec, binomial_pmf
-from cattab.inference import StatisticKind, wald_ci
+from cattab.distributions import BinomialSpec, MultinomialSpec, binomial_pmf, multinomial_pmf
+from cattab.inference import StatisticKind, independence_test, mantel_haenszel_test, wald_ci
 from cattab.simulate import (
     RNG_ALGORITHM,
     SamplingScheme,
@@ -15,8 +15,16 @@ from cattab.simulate import (
     coverage_wald_ci,
     sample_table,
 )
+from cattab.table import ContingencyTable
 
 UNIFORM_2X2 = np.full((2, 2), 0.25)
+
+# Small totals, so that some replicates have a zero margin.
+NULL_SCHEMES = {
+    "poisson": SamplingScheme.poisson(np.outer([2.0, 3.0], [0.5, 1.5])),
+    "binomial_rows": SamplingScheme.binomial_rows((4, 6), [[0.3, 0.7], [0.3, 0.7]]),
+    "multinomial": SamplingScheme.multinomial(9, np.outer([0.2, 0.8], [0.4, 0.6])),
+}
 
 
 class TestSamplingScheme:
@@ -83,6 +91,14 @@ class TestSamplingScheme:
             SamplingScheme.binomial_rows((-math.inf, 5), UNIFORM_2X2 * 2)
         assert SamplingScheme.multinomial(2**63 - 1, UNIFORM_2X2).total == 2**63 - 1
 
+    def test_non_integral_totals_rejected(self):
+        # These were truncated to 10.
+        with pytest.raises(ValueError, match="total must be an integer, got 10.5"):
+            SamplingScheme.multinomial(10.5, UNIFORM_2X2)
+        with pytest.raises(ValueError, match="row_totals must be an integer, got 10.5"):
+            SamplingScheme.binomial_rows((10.5, 20), UNIFORM_2X2 * 2)
+        assert SamplingScheme.multinomial(10.0, UNIFORM_2X2).total == 10
+
     def test_poisson_rates_above_the_sampler_limit_rejected(self):
         # numpy's Poisson sampler refuses a rate above int64 max less ten
         # standard deviations; the scheme names the field instead.
@@ -128,6 +144,19 @@ class TestSampleTable:
         second = sample_table(scheme, 42)
         assert (first.counts == second.counts).all()
         assert first.row_labels == second.row_labels
+
+    def test_is_the_first_replicate_calibration_draws(self):
+        for scheme in NULL_SCHEMES.values():
+            for seed in (0, 5, 2**64 + 3):
+                first = scheme.draw(np.random.default_rng(seed))
+                assert (sample_table(scheme, seed).counts == first).all()
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"), (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            sample_table(SamplingScheme.multinomial(10, UNIFORM_2X2), seed)
 
     def test_binomial_rows_fix_row_totals(self):
         scheme = SamplingScheme.binomial_rows(
@@ -233,6 +262,63 @@ class TestCalibrateNull:
         with pytest.raises(ValueError):
             calibrate_null(scheme, "fisher", 1000, seed=1)
 
+    @pytest.mark.parametrize("replicates, seed, message", [
+        (1000.5, 1, "replicates must be an integer, got 1000.5"),
+        (1000, 1.5, "seed must be an integer, got 1.5"),
+        (1000, -1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_non_integers(self, replicates, seed, message):
+        scheme = SamplingScheme.multinomial(500, UNIFORM_2X2)
+        with pytest.raises(ValueError, match=message):
+            calibrate_null(scheme, "pearson", replicates, seed)
+
+    @pytest.mark.parametrize("scheme", NULL_SCHEMES)
+    @pytest.mark.parametrize("test", ["pearson", "deviance", "mantel_haenszel"])
+    def test_equals_a_loop_over_one_stream(self, scheme, test):
+        # Replicates come from one generator in order, and those whose
+        # statistic is undefined are counted and left out.
+        scheme = NULL_SCHEMES[scheme]
+        scores = ScoreAssignment((1, 2), (1, 2)) if test == "mantel_haenszel" else None
+        rng = np.random.default_rng(17)
+        results = []
+        for _ in range(1000):
+            table = ContingencyTable(scheme.draw(rng), ("a", "b"), ("x", "y"))
+            try:
+                if scores is not None:
+                    results.append(mantel_haenszel_test(table, scores))
+                else:
+                    pearson, deviance, _ = independence_test(table)
+                    results.append(pearson if test == "pearson" else deviance)
+            except ValueError:
+                pass
+        p_values = np.array([res.p_value for res in results])
+        report = calibrate_null(scheme, test, 1000, seed=17, scores=scores)
+        assert 0 < report.degenerate_replicates == 1000 - len(results)
+        assert report.empirical_mean == np.mean([res.statistic for res in results])
+        assert report.rejection_rates == {a: np.mean(p_values <= a) for a in (0.10, 0.05, 0.01)}
+        assert report.reference_df == 1
+
+    def test_undefined_rate_matches_the_exact_probability(self):
+        # 2x2 multinomial, n = 10, uniform margins: a replicate is
+        # undefined when a row or a column is empty. Exactly, by
+        # enumerating every table, that is 4/2^10 - 4/4^10.
+        spec = MultinomialSpec(10, (0.25,) * 4)
+        exact = sum(multinomial_pmf(spec, (a, b, c, 10 - a - b - c))
+                    for a in range(11) for b in range(11 - a) for c in range(11 - a - b)
+                    if 0 in (a + b, c + 10 - a - b - c, a + c, 10 - a - c))
+        assert exact == pytest.approx(4 / 2**10 - 4 / 4**10, rel=1e-12)
+        replicates = 20000
+        report = calibrate_null(SamplingScheme.multinomial(10, UNIFORM_2X2), "pearson",
+                                replicates, seed=1)
+        se = math.sqrt(exact * (1 - exact) / replicates)
+        assert abs(report.degenerate_replicates / replicates - exact) <= 4 * se
+
+    def test_every_replicate_undefined_is_an_error(self):
+        # Rates this small draw an all-zero table every time.
+        scheme = SamplingScheme.poisson(np.full((2, 2), 1e-300))
+        with pytest.raises(ValueError, match="undefined in all 1000 replicates"):
+            calibrate_null(scheme, "pearson", 1000, seed=1)
+
 
 class TestCoverage:
     def test_moderate_sample_near_nominal(self):
@@ -283,6 +369,16 @@ class TestCoverage:
             coverage_wald_ci(0.5, 0, 0.95, 1000, seed=1)
         with pytest.raises(ValueError):
             coverage_wald_ci(0.5, 10, 0.95, 500, seed=1)
+
+    @pytest.mark.parametrize("trials, replicates, seed, message", [
+        (100.7, 1000, 1, "trials must be an integer, got 100.7"),  # was 0.96
+        (100, 1000.5, 1, "replicates must be an integer, got 1000.5"),
+        (100, 1000, 1.5, "seed must be an integer, got 1.5"),
+        (100, 1000, -1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_non_integers(self, trials, replicates, seed, message):
+        with pytest.raises(ValueError, match=message):
+            coverage_wald_ci(0.5, trials, 0.95, replicates, seed)
 
     def test_trials_above_int64_rejected(self):
         with pytest.raises(ValueError, match="trials must be between 0 and 9223372036854775807"):
