@@ -136,9 +136,12 @@ def _parse_axis_scores(text: str, length: int, axis: str) -> list[float]:
             raise ValueError(f"need {length} {axis} scores, got {hi - lo + 1}")
         return [float(v) for v in range(lo, hi + 1)]
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        scores = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise InputFormatError(f"bad score list {text!r}") from None
+    if not scores:
+        raise InputFormatError(f"--scores must list at least one {axis} score")
+    return scores
 
 
 def _parse_scores(text: str | None, shape: tuple[int, int]) -> ScoreAssignment | None:
@@ -466,9 +469,19 @@ def _render_dist(results: dict) -> list[str]:
             for key, value in results.items()]
 
 
+def _marginal(text: str, flag: str) -> list[float]:
+    # Checked before the outer product: a margin of 1e308 would overflow
+    # it, and margins summing to 5 would scale a Poisson rate fivefold.
+    # A NaN passes, for the scheme to refuse as not finite.
+    probs = _parse_list(text, flag)
+    if any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+        raise ValueError(f"{flag} must be nonnegative and sum to 1, got {text!r}")
+    return probs
+
+
 def _joint(args) -> np.ndarray:
-    return np.outer(_parse_list(args.row_marginals, "--row-marginals"),
-                    _parse_list(args.col_marginals, "--col-marginals"))
+    return np.outer(_marginal(args.row_marginals, "--row-marginals"),
+                    _marginal(args.col_marginals, "--col-marginals"))
 
 
 def _binomial_rows_scheme(args) -> SamplingScheme:

@@ -279,12 +279,11 @@ def _chisq_pair(
     :func:`_require_positive_margins`.
 
     Memory: besides the returned expected-frequency matrix, one work
-    buffer of the table's size holds every cell term in turn, and a
-    table with zero cells adds a boolean mask and one array of its
-    positive G^2 terms. The statistics are bit for bit
+    buffer of the table's size holds every cell term in turn, with or
+    without zero cells. The statistics are bit for bit
     ``((o - mu) ** 2 / mu).sum()`` and
-    ``2 * (o[pos] * log(o[pos] / mu[pos])).sum()``: the same terms,
-    summed in the same order.
+    ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms,
+    summed in the same order, a zero cell's term an exact zero.
     """
     expected = expected_frequencies(table, hypothesis)
     mu = expected.values
@@ -297,13 +296,13 @@ def _chisq_pair(
     np.divide(work, mu, out=work)
     x2 = float(work.sum())
 
-    # 0 ln 0 = 0: the log runs over the positive cells only, and a zero
-    # cell's term stays 0 / mu * 0 = 0 until the compress drops it.
-    pos = True if obs.all() else obs > 0
+    # 0 ln 0 = 0: a zero cell's ratio is raised to the least subnormal, so
+    # its term is 0 * -744.4 = -0.0; a positive o / mu >= 1 / n is unmoved.
     np.divide(obs, mu, out=work)
-    np.log(work, out=work, where=pos)
+    np.fmax(work, math.ulp(0.0), out=work)
+    np.log(work, out=work)
     np.multiply(work, obs, out=work)
-    g2 = max(0.0, float(2.0 * (work.sum() if pos is True else work[pos].sum())))
+    g2 = max(0.0, float(2.0 * work.sum()))
 
     pearson = TestResult(x2, StatisticKind.PEARSON_CHISQ, df, chi2_sf(df, x2),
                          small_cell_warning=warn)

@@ -601,6 +601,16 @@ class TestExitCodes:
         (["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "nan",
           "--row-marginals", ".5,.5", "--col-marginals", ".5,.5"], "cell_rates must be finite"),
         (["dist", "poisson", "--rate", "inf", "--count", "3"], "rate must be finite"),
+        # Margins that are not probabilities, refused before the Poisson
+        # rates are formed, which would sum to 5x --total-rate or overflow.
+        (["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "900",
+          "--row-marginals", "2,3", "--col-marginals", ".5,.5"],
+         "--row-marginals must be nonnegative and sum to 1, got '2,3'"),
+        (["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "900",
+          "--row-marginals", ".5,.5", "--col-marginals", "1e308,1e308"],
+         "--col-marginals must be nonnegative and sum to 1, got '1e308,1e308'"),
+        (["simulate", "calibrate", "--n", "100", "--row-marginals", "1.5,-.5",
+          "--col-marginals", ".5,.5"], "--row-marginals must be nonnegative and sum to 1"),
     ])
     def test_domain_error_out_of_range_parameter(self, capsys, argv, message):
         seed = ["--replicates", "1000", "--seed", "1"] if argv[0] == "simulate" else []
@@ -840,6 +850,10 @@ def _argv(draw):
 # A subnormal null: the score test's standard error underflowed to 0.0.
 @example(case=(["test", "proportion", "--null", "5e-324", "--successes", "1",
                 "--trials", "2"], ""))
+# A margin of 1e308: the Poisson rates overflowed with a numpy warning.
+@example(case=(["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "900",
+                "--row-marginals", "1e308", "--col-marginals", ".5,.5",
+                "--replicates", "1000", "--seed", "1"], ""))
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_contract_fuzz(tmp_path, case):
@@ -975,6 +989,10 @@ _EMPTY_SCORES = ("bad --scores value '': expected ROWS,COLS with colon ranges, "
     (["assoc", "correlation", "--input", SURVEY, "--scores", ""], _EMPTY_SCORES),
     (["simulate", "calibrate", "--seed", "1", "--n", "100", "--row-marginals", ".5,.5",
       "--col-marginals", ".5,.5", "--test", "mantel-haenszel", "--scores", ""], _EMPTY_SCORES),
+    # An empty side of --scores, too.
+    *((["test", "linear", "--input", SURVEY, "--scores", value],
+       f"--scores must list at least one {axis} score")
+      for value, axis in [(",", "row"), (";", "row"), ("1:5,", "column"), ("1,2;", "column")]),
 ])
 def test_empty_list_option_is_an_input_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
