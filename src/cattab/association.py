@@ -20,26 +20,35 @@ __all__ = [
 ]
 
 
+# The score rule's bounds: with every score 0 or of magnitude in [A, B],
+# ulp(A)^4 / 16 <= ss_u * ss_v <= 16 n^2 B^4 are normal floats for n <= 2^63.
+_MIN_SCORE, _MAX_SCORE = 1e-60, 1e66
+
+
 @dataclass(frozen=True)
 class ScoreAssignment:
     """Numeric codes for the row and column categories, in table order.
 
     Each axis needs at least two distinct values, otherwise the induced
-    variable is constant and correlation is undefined.
+    variable is constant and correlation is undefined. Every score is 0
+    or between 1e-60 and 1e66 in magnitude, so that the product of the
+    sums of squares neither overflows nor underflows.
     """
 
     row_scores: tuple[float, ...]
     col_scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        row = tuple(float(u) for u in self.row_scores)
-        col = tuple(float(v) for v in self.col_scores)
-        if len(set(row)) < 2:
-            raise ValueError(f"row scores need >= 2 distinct values, got {row}")
-        if len(set(col)) < 2:
-            raise ValueError(f"column scores need >= 2 distinct values, got {col}")
-        object.__setattr__(self, "row_scores", row)
-        object.__setattr__(self, "col_scores", col)
+        for field, axis in (("row_scores", "row"), ("col_scores", "column")):
+            values = getattr(self, field)
+            # Bounded before float(), which overflows at 10**400; NaN fails too.
+            if not all(s == 0 or _MIN_SCORE <= abs(s) <= _MAX_SCORE for s in values):
+                raise ValueError(f"{axis} scores must be 0 or between {_MIN_SCORE:g} and "
+                                 f"{_MAX_SCORE:g} in magnitude, got {tuple(values)}")
+            scores = tuple(float(s) for s in values)
+            if len(set(scores)) < 2:
+                raise ValueError(f"{axis} scores need >= 2 distinct values, got {scores}")
+            object.__setattr__(self, field, scores)
 
 
 @dataclass(frozen=True)

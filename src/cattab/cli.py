@@ -40,6 +40,7 @@ from .distributions import (
     BinomialSpec,
     MultinomialSpec,
     PoissonSpec,
+    _probabilities,
     binomial_log_pmf,
     binomial_moments,
     binomial_pmf,
@@ -134,7 +135,7 @@ def _parse_axis_scores(text: str, length: int, axis: str) -> list[float]:
         # exhaust memory rather than fail the length check later.
         if hi - lo + 1 > length:
             raise ValueError(f"need {length} {axis} scores, got {hi - lo + 1}")
-        return [float(v) for v in range(lo, hi + 1)]
+        return list(range(lo, hi + 1))
     try:
         scores = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -469,14 +470,10 @@ def _render_dist(results: dict) -> list[str]:
             for key, value in results.items()]
 
 
-def _marginal(text: str, flag: str) -> list[float]:
+def _marginal(text: str, flag: str) -> np.ndarray:
     # Checked before the outer product: a margin of 1e308 would overflow
     # it, and margins summing to 5 would scale a Poisson rate fivefold.
-    # A NaN passes, for the scheme to refuse as not finite.
-    probs = _parse_list(text, flag)
-    if any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError(f"{flag} must be nonnegative and sum to 1, got {text!r}")
-    return probs
+    return _probabilities(_parse_list(text, flag), flag)
 
 
 def _joint(args) -> np.ndarray:
@@ -485,9 +482,9 @@ def _joint(args) -> np.ndarray:
 
 
 def _binomial_rows_scheme(args) -> SamplingScheme:
-    col_marg = _parse_list(args.col_marginals, "--col-marginals")
+    col_marg = _marginal(args.col_marginals, "--col-marginals")
     totals = _parse_list(args.row_totals, "--row-totals", int)
-    return SamplingScheme.binomial_rows(totals, np.tile(np.asarray(col_marg), (len(totals), 1)))
+    return SamplingScheme.binomial_rows(totals, np.tile(col_marg, (len(totals), 1)))
 
 
 # Each --scheme: the options it takes, all of them required, and its

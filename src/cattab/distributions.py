@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "BinomialSpec",
@@ -30,8 +33,6 @@ __all__ = [
     "poisson_pmf",
     "poisson_log_pmf",
 ]
-
-_PROB_SUM_TOL = 1e-12
 
 _LN_2PI = 1.8378770664093456
 # _stirlerr(n) = ln(n!) - ln(sqrt(2 pi n) (n/e)^n) at n = 0..15, from a
@@ -56,6 +57,32 @@ def _as_integer(value, what: str) -> int:
     return int(value)
 
 
+_INT64_MAX = 2**63 - 1
+_UNIT_SUM_TOL = 1e-12  # how far the sum of a probability vector may be from 1
+
+
+def _count(value, what: str) -> int:
+    """The count rule: an integer in 0.._INT64_MAX."""
+    if not 0 <= value <= _INT64_MAX:  # NaN and infinities too
+        raise ValueError(f"{what} must be between 0 and {_INT64_MAX}, got {value}")
+    return _as_integer(value, what)
+
+
+def _probabilities(values, what: str, axis: int | None = None) -> np.ndarray:
+    """The probability rule, as a float copy: finite, in [0, 1], summing to 1 along ``axis``."""
+    try:
+        probs = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range, such as 10**400
+        raise ValueError(f"{what} must be finite and in [0, 1]") from None
+    outside = ~((probs >= 0.0) & (probs <= 1.0))  # NaN too; checked before a sum overflows
+    if outside.any():
+        raise ValueError(f"{what} must be finite and in [0, 1], got {probs[outside][0].item()!r}")
+    sums = probs.sum(axis=axis)
+    if np.any(np.abs(sums - 1.0) > _UNIT_SUM_TOL):
+        raise ValueError(f"{what} must sum to 1, got {sums}")
+    return probs
+
+
 @dataclass(frozen=True)
 class BinomialSpec:
     """Fixed number of identical two-outcome trials.
@@ -68,9 +95,7 @@ class BinomialSpec:
     success_prob: float
 
     def __post_init__(self) -> None:
-        _as_integer(self.trials, "trials")
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
+        object.__setattr__(self, "trials", _count(self.trials, "trials"))
         if not 0.0 <= self.success_prob <= 1.0:
             raise ValueError(f"success_prob must be in [0, 1], got {self.success_prob}")
 
@@ -83,19 +108,11 @@ class MultinomialSpec:
     category_probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "category_probs",
-                           tuple(float(p) for p in self.category_probs))
-        _as_integer(self.trials, "trials")
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if len(self.category_probs) < 2:
-            raise ValueError("need at least two categories")
-        for p in self.category_probs:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"category probability out of [0, 1]: {p}")
-        total = math.fsum(self.category_probs)
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"category probabilities must sum to 1, got {total!r}")
+        object.__setattr__(self, "trials", _count(self.trials, "trials"))
+        probs = _probabilities(self.category_probs, "category_probs")
+        if probs.ndim != 1 or probs.size < 2:
+            raise ValueError("need a vector of at least two category probabilities")
+        object.__setattr__(self, "category_probs", tuple(probs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -106,8 +123,9 @@ class PoissonSpec:
     rate: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rate < math.inf:
+        if not 0.0 < self.rate <= sys.float_info.max:  # 10**400 too
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        object.__setattr__(self, "rate", float(self.rate))
 
 
 def _stirlerr(n: int) -> float:
@@ -154,8 +172,8 @@ def _bd0(x: float, m: float) -> float:
 def binomial_log_pmf(spec: BinomialSpec, y: int) -> float:
     """Log of P(y successes in n trials); -inf for impossible outcomes."""
     n, p = spec.trials, spec.success_prob
-    y = _as_integer(y, "count")
-    if y < 0 or y > n:
+    y = _count(y, "count")
+    if y > n:
         raise ValueError(f"count must satisfy 0 <= y <= {n}, got {y}")
     if p == 0.0 or p == 1.0:  # all the mass at y = 0 or at y = n
         return 0.0 if y == (n if p else 0) else -math.inf
@@ -185,12 +203,10 @@ def binomial_moments(spec: BinomialSpec) -> tuple[float, float]:
 def multinomial_log_pmf(spec: MultinomialSpec, counts) -> float:
     """Log of the multinomial mass at the given per-category counts."""
     n, probs = spec.trials, spec.category_probs
-    counts = [_as_integer(c, "each count") for c in counts]
+    counts = [_count(c, "each count") for c in counts]
     if len(counts) != len(probs):
         raise ValueError(
             f"expected {len(probs)} counts, got {len(counts)}")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts}")
     if sum(counts) != n:
         raise ValueError(f"counts must sum to trials={n}, got {sum(counts)}")
     if n == 0:
@@ -217,9 +233,7 @@ def multinomial_pmf(spec: MultinomialSpec, counts) -> float:
 def poisson_log_pmf(spec: PoissonSpec, y: int) -> float:
     """Log of P(y events) = -rate + y ln(rate) - ln(y!), as
     -_stirlerr(y) - _bd0(y, rate) - ln(2 pi y) / 2."""
-    y = _as_integer(y, "count")
-    if y < 0:
-        raise ValueError(f"count must be >= 0, got {y}")
+    y = _count(y, "count")
     if y == 0:
         return -spec.rate
     return -_stirlerr(y) - _bd0(y, spec.rate) - 0.5 * (_LN_2PI + math.log(y))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import ScoreAssignment, pearson_correlation
+from .distributions import _count
 from .special import chi2_sf, normal_cdf, normal_quantile, xlogy
 from .table import ContingencyTable, _ContentEq
 
@@ -127,18 +128,19 @@ class LikelihoodDetail:
     log_l1: float
 
 
-def _check_proportion_data(successes: int, trials: int) -> None:
+def _proportion_data(successes: int, trials: int) -> tuple[int, int]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
-        raise ValueError(
-            f"successes must satisfy 0 <= y <= {trials}, got {successes}")
+    successes, trials = _count(successes, "successes"), _count(trials, "trials")
+    if successes > trials:
+        raise ValueError(f"successes must satisfy 0 <= y <= {trials}, got {successes}")
+    return successes, trials
 
 
 def mle_proportion(successes: int, trials: int) -> tuple[float, float]:
     """ML estimate of a proportion and the standard error evaluated at
     the estimate: (y/n, sqrt(p(1-p)/n))."""
-    _check_proportion_data(successes, trials)
+    successes, trials = _proportion_data(successes, trials)
     estimate = successes / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, se
@@ -151,7 +153,7 @@ def log_likelihood(pi: float, successes: int, trials: int) -> float:
     omitted; it cancels in every likelihood ratio. 0*ln(0) is taken as 0
     so the closed parameter domain [0, 1] is total.
     """
-    _check_proportion_data(successes, trials)
+    successes, trials = _proportion_data(successes, trials)
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must be in [0, 1], got {pi}")
     return xlogy(successes, pi) + xlogy(trials - successes, 1.0 - pi)
@@ -180,7 +182,7 @@ def score_test_proportion(
 ) -> TestResult:
     """z test with the standard error evaluated at the null value:
     z = (y/n - pi0) / sqrt(pi0 (1 - pi0) / n)."""
-    _check_proportion_data(successes, trials)
+    successes, trials = _proportion_data(successes, trials)
     if not 0.0 < pi0 < 1.0:
         raise ValueError(f"null proportion must be interior, got {pi0}")
     sidedness = Sidedness(sidedness)
@@ -209,7 +211,7 @@ def lr_test_proportion(
 ) -> tuple[TestResult, LikelihoodDetail]:
     """Likelihood-ratio chi-square: -2 ln(l0 / l1), where l0 is the
     likelihood at the null value and l1 the maximized likelihood."""
-    _check_proportion_data(successes, trials)
+    successes, trials = _proportion_data(successes, trials)
     if not 0.0 < pi0 < 1.0:
         raise ValueError(f"null proportion must be interior, got {pi0}")
     log_l1 = log_likelihood(successes / trials, successes, trials)

@@ -18,7 +18,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .table import _INT64_MAX, ContingencyTable, _table_from_pair_counts
+from .distributions import _count
+from .table import ContingencyTable, _table_from_pair_counts
 
 __all__ = [
     "InputFormatError",
@@ -47,14 +48,10 @@ def _parse_count_cell(cell: str, line: int, column: int) -> int:
         raise InputFormatError(
             f"line {line}, column {column}: expected an integer count, "
             f"got {cell!r}") from None
-    if value < 0:
-        raise InputFormatError(
-            f"line {line}, column {column}: negative count {value}")
-    if value > _INT64_MAX:
-        raise InputFormatError(
-            f"line {line}, column {column}: count {value} exceeds the "
-            f"largest supported count {_INT64_MAX}")
-    return value
+    try:
+        return _count(value, f"line {line}, column {column}: count")
+    except ValueError as exc:  # a cell of the input file: an input error
+        raise InputFormatError(str(exc)) from None
 
 
 @contextmanager

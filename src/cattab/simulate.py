@@ -24,15 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import ScoreAssignment, _integer_scores, _scored_moments
-from .distributions import _as_integer
+from .distributions import _INT64_MAX, _as_integer, _count, _probabilities
 from .inference import (
     StatisticKind,
     TestResult,
+    _proportion_data,
     independence_test,
     mantel_haenszel_test,
     wald_ci,
 )
-from .table import _INT64_MAX, ContingencyTable, _ContentEq
+from .table import ContingencyTable, _ContentEq
 
 __all__ = [
     "SchemeKind",
@@ -63,21 +64,12 @@ class SchemeKind(str, enum.Enum):
     MULTINOMIAL_TOTAL_FIXED = "multinomial_total_fixed"
 
 
-def _frozen_float_matrix(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen_matrix(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValueError(f"{name} must be a matrix with >= 2 rows and columns, "
                          f"got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
-
-
-def _total(value, name: str) -> int:
-    if not 0 <= value <= _INT64_MAX:  # NaN and infinities too
-        raise ValueError(f"{name} must be between 0 and {_INT64_MAX}, got {value}")
-    return _as_integer(value, name)
 
 
 class SamplingScheme(_ContentEq, abc.ABC):
@@ -120,7 +112,12 @@ class PoissonScheme(SamplingScheme):
     cell_rates: np.ndarray
 
     def __post_init__(self) -> None:
-        rates = _frozen_float_matrix(self.cell_rates, "cell_rates")
+        try:
+            rates = _frozen_matrix(np.array(self.cell_rates, dtype=float), "cell_rates")
+        except OverflowError:  # an int beyond the float range, such as 10**400
+            raise ValueError("cell_rates must be finite") from None
+        if not np.isfinite(rates).all():
+            raise ValueError("cell_rates must be finite")
         if np.any(rates <= 0.0):
             raise ValueError("all Poisson cell rates must be > 0")
         top = float(rates.max())
@@ -147,15 +144,12 @@ class BinomialRowsScheme(SamplingScheme):
     row_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = _frozen_float_matrix(self.row_probs, "row_probs")
-        totals = tuple(_total(t, "row_totals") for t in self.row_totals)
+        probs = _frozen_matrix(_probabilities(self.row_probs, "row_probs", axis=-1), "row_probs")
+        totals = tuple(_count(t, "row_totals") for t in self.row_totals)
         if len(totals) != probs.shape[0]:
             raise ValueError("row_totals length must match row_probs rows")
-        if sum(totals) < 1:
+        if _count(sum(totals), "the sum of row_totals") < 1:
             raise ValueError("at least one observation required")
-        _total(sum(totals), "the sum of row_totals")
-        if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("each row of row_probs must be a probability vector")
         object.__setattr__(self, "row_totals", totals)
         object.__setattr__(self, "row_probs", probs)
 
@@ -179,12 +173,10 @@ class MultinomialScheme(SamplingScheme):
     joint_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        joint = _frozen_float_matrix(self.joint_probs, "joint_probs")
-        total = _total(self.total, "total")
+        joint = _frozen_matrix(_probabilities(self.joint_probs, "joint_probs"), "joint_probs")
+        total = _count(self.total, "total")
         if total < 1:
             raise ValueError(f"total must be >= 1, got {total}")
-        if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > 1e-12:
-            raise ValueError("joint_probs must be nonnegative and sum to 1")
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "joint_probs", joint)
 
@@ -237,7 +229,7 @@ def _replicate_count(replicates: int) -> int:
     if replicates < _MIN_CALIBRATION_REPLICATES:
         raise ValueError(
             f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")
-    return _total(replicates, "replicates")
+    return _count(replicates, "replicates")
 
 
 def sample_table(scheme: SamplingScheme, seed: int) -> ContingencyTable:
@@ -268,7 +260,7 @@ def _require_null(scheme: SamplingScheme, test: StatisticKind,
                                         np.asarray(scores.col_scores))
     if var_u <= 0.0 or var_v <= 0.0:
         raise ValueError("degenerate scores: zero variance under the scheme")
-    if abs(cov / math.sqrt(var_u * var_v)) > _NULL_TOL:
+    if abs(cov / (math.sqrt(var_u) * math.sqrt(var_v))) > _NULL_TOL:  # var_u * var_v can be 0.0
         raise ValueError(
             "scheme does not satisfy the zero-correlation null under the "
             "given scores")
@@ -359,9 +351,7 @@ def coverage_wald_ci(
     the true proportion. Requires at least 1000 replicates."""
     if not 0.0 < true_pi < 1.0:
         raise ValueError(f"true proportion must be interior, got {true_pi}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    trials = _total(trials, "trials")
+    _, trials = _proportion_data(0, trials)
     replicates = _replicate_count(replicates)
     ys = _rng(seed).binomial(trials, true_pi, size=replicates)
     # One interval per distinct count: at most trials + 1 of them.

@@ -14,6 +14,8 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
+from .distributions import _INT64_MAX, _count, _probabilities
+
 __all__ = [
     "ContingencyTable",
     "ProbabilityEstimates",
@@ -26,9 +28,6 @@ __all__ = [
 
 # One raw observation: (row category, column category).
 Record = tuple[str, str]
-
-_COHERENCE_TOL = 1e-12
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class _ContentEq:
@@ -118,10 +117,7 @@ class ContingencyTable(_ContentEq):
         # Every margin is at most n, so int64 margins are exact whenever n
         # fits; the bound max * cells settles that without an exact sum.
         if int(counts.max()) * counts.size > _INT64_MAX:
-            n = int(counts.sum(dtype=object))
-            if n > _INT64_MAX:
-                raise ValueError(
-                    f"table total {n} exceeds the largest supported total {_INT64_MAX}")
+            _count(int(counts.sum(dtype=object)), "table total")
         row_totals = counts.sum(axis=1)
         col_totals = counts.sum(axis=0)
         n = int(row_totals.sum())
@@ -186,12 +182,12 @@ class ProbabilityEstimates(_ContentEq):
     def __post_init__(self) -> None:
         # A copy, so that freezing it leaves the caller's array writable
         # and a later write to that array cannot change these estimates.
-        self._freeze(np.array(self.joint, dtype=float))
+        self._freeze(_probabilities(self.joint, "joint"))
 
     @classmethod
     def _adopt(cls, joint: np.ndarray, source: ContingencyTable) -> ProbabilityEstimates:
-        """Estimates around a float array built for them alone, kept
-        without the copy a caller's array gets."""
+        """Estimates around a float array built for them alone from a table,
+        kept without the copy and the check a caller's array gets."""
         estimates = cls.__new__(cls)
         object.__setattr__(estimates, "source", source)
         estimates._freeze(joint)
@@ -200,11 +196,6 @@ class ProbabilityEstimates(_ContentEq):
     def _freeze(self, joint: np.ndarray) -> None:
         rows = joint.sum(axis=1)
         cols = joint.sum(axis=0)
-        # Both marginals sum to the joint's total, up to rounding far
-        # below the tolerance, so one check covers them.
-        total = rows.sum()
-        if abs(total - 1.0) > _COHERENCE_TOL:
-            raise ValueError(f"joint probabilities sum to {float(total)!r}, not 1")
         for arr in (joint, rows, cols):
             arr.setflags(write=False)
         object.__setattr__(self, "joint", joint)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,38 @@ class TestPearsonCorrelation:
         table = ContingencyTable([[5, 7], [0, 0]], ("a", "b"), ("x", "y"))
         with pytest.raises(ValueError, match="zero variance"):
             pearson_correlation(table)
+
+    @pytest.mark.parametrize("row, col", [
+        ((1, 2, 3, 4, math.nan), (1, 2, 3, 4, 5)),
+        ((1, 2, 3, 4, 5), (1, 2, 3, 4, math.inf)),
+        ((1e308, 1.1e308, 1.2e308, 1.3e308, 1.4e308), (1, 2, 3, 4, 5)),
+        (tuple(1e100 * k for k in range(1, 6)), tuple(1e100 * k for k in range(1, 6))),
+        ((1, 2, 3, 4, 10**400), (1, 2, 3, 4, 5)),
+        (tuple(1e-100 * k for k in range(1, 6)), tuple(1e-100 * k for k in range(1, 6))),
+        ((0, 5e-324, 1e-323, 2, 3), (1, 2, 3, 4, 5)),
+    ], ids=["nan", "inf", "1e308", "1e100-scale", "10**400", "1e-100-scale", "subnormal"])
+    def test_scores_outside_the_score_rule_rejected(self, row, col):
+        # NaN and 1e308 gave r = 1 (the latter with RuntimeWarnings), and
+        # 1e100 scale gave r = 0.0 where r is 0.5989: ss_u * ss_v overflowed.
+        # At 1e-100 scale it underflowed to 0: ZeroDivisionError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"scores must be 0 or between 1e-60 and 1e\+66 in magnitude"):
+                pearson_correlation(life_quality_survey(), ScoreAssignment(row, col))
+
+    @pytest.mark.parametrize("table", [
+        life_quality_survey(),
+        make_table([[10**18, 1, 3], [1, 10**18, 5], [4, 5, 10**18]]),
+    ], ids=["survey", "1e18-counts"])
+    @pytest.mark.parametrize("scale", [1e66 / 5, 1e-60])
+    def test_scores_at_the_bounds_give_the_unscaled_correlation(self, table, scale):
+        rows, cols = (tuple(range(1, k + 1)) for k in table.shape)
+        scaled = ScoreAssignment(tuple(scale * u for u in rows), tuple(-scale * v for v in cols))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson_correlation(table, scaled)
+        assert r == pytest.approx(-pearson_correlation(table), abs=1e-12)
 
     def test_score_length_mismatch(self):
         with pytest.raises(ValueError, match="scores"):

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,8 @@ class TestCountsCsv:
     def test_grouped_negative_count_is_negative(self, tmp_path):
         path = tmp_path / "negative.csv"
         path.write_text('table,x,y\na,"-1,234",2\nb,3,4\n')
-        with pytest.raises(InputFormatError, match="line 2, column 2: negative count -1234"):
+        with pytest.raises(InputFormatError,
+                           match="line 2, column 2: count must be between 0 and .*, got -1234"):
             parse_counts_csv(path)
 
     def test_unquoted_embedded_comma_is_ragged(self, tmp_path):
@@ -98,7 +100,8 @@ class TestCountsCsv:
     def test_negative_cell_located(self, tmp_path):
         path = tmp_path / "negative.csv"
         path.write_text("table,x,y\na,1,2\nb,3,-4\n")
-        with pytest.raises(InputFormatError, match="negative"):
+        with pytest.raises(InputFormatError,
+                           match="line 3, column 3: count must be between 0 and "):
             parse_counts_csv(path)
 
     def test_round_trip_through_text(self):
@@ -539,7 +542,8 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "describe", "--input", str(path))
         assert code == 2
         assert out == ""
-        assert "line 2, column 3: count 99999999999999999999 exceeds" in err
+        assert ("line 2, column 3: count must be between 0 and 9223372036854775807, "
+                "got 99999999999999999999") in err
 
     def test_input_error_comma_not_thousands_grouping(self, capsys, tmp_path):
         # Stripping every comma read this cell as 15 (n = 19, exit 0).
@@ -566,7 +570,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *command, "--input", str(path))
         assert code == 2
         assert out == ""
-        assert "exceeds the largest supported total 9223372036854775807" in err
+        assert "table total must be between 0 and 9223372036854775807, got" in err
         assert "Traceback" not in err
 
     def test_independence_on_a_450x450_table(self, capsys, tmp_path):
@@ -595,9 +599,9 @@ class TestExitCodes:
         (["simulate", "coverage", "--pi", ".5", "--trials", "100000000000000000000"],
          "trials must be between 0 and 9223372036854775807"),
         (["simulate", "calibrate", "--n", "100", "--row-marginals", "nan,.5",
-          "--col-marginals", ".5,.5"], "joint_probs must be finite"),
+          "--col-marginals", ".5,.5"], "--row-marginals must be finite and in [0, 1], got nan"),
         (["simulate", "calibrate", "--scheme", "binomial-rows", "--row-totals", "5,5",
-          "--col-marginals", "nan,.5"], "row_probs must be finite"),
+          "--col-marginals", "nan,.5"], "--col-marginals must be finite and in [0, 1], got nan"),
         (["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "nan",
           "--row-marginals", ".5,.5", "--col-marginals", ".5,.5"], "cell_rates must be finite"),
         (["dist", "poisson", "--rate", "inf", "--count", "3"], "rate must be finite"),
@@ -605,20 +609,54 @@ class TestExitCodes:
         # rates are formed, which would sum to 5x --total-rate or overflow.
         (["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "900",
           "--row-marginals", "2,3", "--col-marginals", ".5,.5"],
-         "--row-marginals must be nonnegative and sum to 1, got '2,3'"),
+         "--row-marginals must be finite and in [0, 1], got 2.0"),
         (["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "900",
           "--row-marginals", ".5,.5", "--col-marginals", "1e308,1e308"],
-         "--col-marginals must be nonnegative and sum to 1, got '1e308,1e308'"),
+         "--col-marginals must be finite and in [0, 1], got 1e+308"),
         (["simulate", "calibrate", "--n", "100", "--row-marginals", "1.5,-.5",
-          "--col-marginals", ".5,.5"], "--row-marginals must be nonnegative and sum to 1"),
+          "--col-marginals", ".5,.5"], "--row-marginals must be finite and in [0, 1], got 1.5"),
+        (["simulate", "calibrate", "--n", "100", "--row-marginals", ".5,.4",
+          "--col-marginals", ".5,.5"], "--row-marginals must sum to 1, got 0.9"),
+        # Counts beyond int64: each of these exited 1 with an OverflowError
+        # traceback.
+        (["test", "proportion", "--successes", "3", "--null", ".5", "--trials", str(10**400)],
+         "trials must be between 0 and 9223372036854775807, got 1000"),
+        (["dist", "binomial", "--trials", str(10**400), "--prob", ".5", "--count", "3"],
+         "trials must be between 0 and 9223372036854775807, got 1000"),
+        (["dist", "poisson", "--rate", "3", "--count", str(10**400)],
+         "count must be between 0 and 9223372036854775807, got 1000"),
+        (["dist", "multinomial", "--trials", str(2**63), "--probs", ".5,.5",
+          "--counts", f"{2**62},{2**62}"], "trials must be between 0 and "),
+        # Scores that are not finite or could overflow a sum of squares:
+        # these exited 0 with r = 1 or r = 0, or warned on stderr.
+        (["test", "linear", "--input", SURVEY, "--scores", "1,2,3,4,nan;1,2,3,4,5"],
+         "row scores must be 0 or between 1e-60 and 1e+66 in magnitude"),
+        (["test", "linear", "--input", SURVEY, "--scores", "1,2,3,4,5;1,2,3,4,inf"],
+         "column scores must be 0 or between 1e-60 and 1e+66 in magnitude"),
+        (["assoc", "correlation", "--input", SURVEY,
+          "--scores", "1e308,1.1e308,1.2e308,1.3e308,1.4e308;1,2,3,4,5"],
+         "row scores must be 0 or between"),
+        (["assoc", "correlation", "--input", SURVEY,
+          "--scores", "1e100,2e100,3e100,4e100,5e100;1e100,2e100,3e100,4e100,5e100"],
+         "row scores must be 0 or between 1e-60 and 1e+66 in magnitude"),
+        # The product of the two sums of squares underflowed to 0: a
+        # ZeroDivisionError traceback, at 1e-100 scores and at tiny margins.
+        (["assoc", "correlation", "--input", SURVEY,
+          "--scores", "1e-100,2e-100,3e-100,4e-100,5e-100;1e-100,2e-100,3e-100,4e-100,5e-100"],
+         "row scores must be 0 or between 1e-60 and 1e+66 in magnitude"),
+        (["simulate", "calibrate", "--n", "100", "--row-marginals", "1e-300,1",
+          "--col-marginals", "1e-300,1", "--test", "mantel-haenszel"],
+         "the statistic is undefined in all 1000 replicates"),
     ])
     def test_domain_error_out_of_range_parameter(self, capsys, argv, message):
         seed = ["--replicates", "1000", "--seed", "1"] if argv[0] == "simulate" else []
-        code, out, err = run_cli(capsys, *argv, *seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RuntimeWarnings included
+            code, out, err = run_cli(capsys, *argv, *seed)
         assert code == 3
         assert out == ""
         assert err.startswith("cattab: error: ") and message in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_domain_error_poisson_rate_above_the_sampler_limit(self, capsys):
         # Exited 3 with numpy's "lam value too large", which names no option.
@@ -736,7 +774,7 @@ def test_cli_output_is_unchanged(capsys, monkeypatch, example):
 # a negative, 1e18-scale or over-int64 integer, nan, an infinity or -0.0,
 # or an empty string or junk.
 _BIG_INTS = [str(10**16), str(5 * 10**17), str(10**18), str(2**63 - 1), str(2**63),
-             str(10**30)]
+             str(10**30), str(10**400)]
 _EDGE = ["0", "-1", "-7", *_BIG_INTS, "-0.0", "-0.5", "nan", "inf", "-inf", "1e18", "1e308",
          "5e-324", "2.5", "", " ", "abc", ",", ";", ":", "1:2:3", ",,1", "1,,2", "0x10",
          "1_000", "\uff11", "\x00", "--", "1e", "[1]"]
@@ -756,10 +794,17 @@ _RATE = _pick(["0.5", "3", "900"])
 _PROBS = _pick([".5,.5", ".25,.75", ".2,.3,.5", ".2,.8"], st.one_of(_EDGE_LIST, _COUNT))
 _TOTALS = _pick(["5,5", "100,100", "1,2", "30,10"], st.one_of(_EDGE_LIST, _COUNT))
 _INDICES = _pick(["1,2", "2,1", "1,3", "2,2"], st.one_of(_EDGE_LIST, _COUNT))
+# Full-length score lists for the 2-, 3- and 5-category axes the bodies
+# and fixtures have, with one non-finite score or every score at 1e100,
+# 1e307 or 1e-100 scale.
+_SCALED_SCORES = [";".join([",".join(f"{k}{scale}" for k in range(1, n + 1))] * 2)
+                  for n in (2, 3, 5) for scale in ("e100", "e307", "e-100")]
 _SCORES = _pick(["1:5,1:5", "1:2,1:2", "1:3,1:4", "1,2;1,2", "0,1;1,3,4"], st.one_of(
     st.tuples(*[st.sampled_from(["0", "1", "2", "-3", *_BIG_INTS])] * 4).map(
         lambda v: f"{v[0]}:{v[1]},{v[2]}:{v[3]}"),
-    st.tuples(_TOTALS, _PROBS).map(";".join), st.sampled_from(_EDGE)))
+    st.tuples(_TOTALS, _PROBS).map(";".join), st.sampled_from(_EDGE),
+    st.sampled_from(["1,nan;1,2", "1,2;1,inf", "1,2,-inf;1,2,3", "1,2,3,4,nan;1,2,3,4,5",
+                     *_SCALED_SCORES])))
 # Below 2,000 a case runs in well under a second; at 10**15 and more the
 # replicate array cannot be allocated and the command fails at once. The
 # range between is left out: a single case there runs for minutes or

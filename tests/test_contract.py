@@ -1,0 +1,199 @@
+"""Library contract fuzz for the three input rules.
+
+Every callable that takes a count, a probability vector or a score is
+called with arguments drawn from a few valid values and from the edges
+below. Each call must return its documented type, with no NaN where a
+number is returned, or raise ``ValueError``, and must warn nothing.
+"""
+
+import math
+import warnings
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cattab import (
+    BinomialSpec,
+    ConfidenceInterval,
+    LikelihoodDetail,
+    MultinomialSpec,
+    PoissonSpec,
+    ProbabilityEstimates,
+    ScoreAssignment,
+    binomial_log_pmf,
+    binomial_pmf,
+    coverage_wald_ci,
+    log_likelihood,
+    lr_test_proportion,
+    mantel_haenszel_test,
+    mle_proportion,
+    multinomial_log_pmf,
+    multinomial_pmf,
+    pearson_correlation,
+    poisson_log_pmf,
+    poisson_pmf,
+    score_test_proportion,
+    wald_ci,
+    wald_test_proportion,
+)
+from cattab.fixtures import life_quality_survey, police_shootings
+from cattab.inference import TestResult as _TestResult  # not a test class
+from cattab.simulate import BinomialRowsScheme, MultinomialScheme, PoissonScheme
+from cattab.table import ContingencyTable
+
+# Subnormals, NaN, the infinities, the int64 maximum and one past it, an
+# int beyond the float range, non-integral floats and negatives.
+_EDGES = [5e-324, 1e-310, -5e-324, math.nan, math.inf, -math.inf, 2**63 - 1, 2**63,
+          10**400, 2.5, 0.3, 1e308, -1, -0.5, -0.0]
+
+
+def _arg(*valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(_EDGES))
+
+
+_COUNT = _arg(0, 1, 3, 10, 1000)
+_PROB = _arg(0.0, 0.25, 0.5, 1.0)
+_INTERIOR = _arg(0.05, 0.5, 0.95)
+_RATE = _arg(0.5, 3.0, 900.0)
+_PROBS = st.one_of(st.sampled_from([(0.5, 0.5), (0.2, 0.3, 0.5), (1.0, 0.0)]),
+                   st.lists(_arg(0.5, 0.25), min_size=2, max_size=3).map(tuple))
+_MATRIX = st.one_of(
+    st.sampled_from([((0.25, 0.25), (0.25, 0.25)), ((0.1, 0.4), (0.2, 0.3))]),
+    st.lists(st.lists(_arg(0.25, 0.5, 1.0), min_size=2, max_size=2).map(tuple),
+             min_size=2, max_size=2).map(tuple))
+_SCORE = _arg(1, 2, 3, -1, 0.5)
+
+
+def _scores(length):
+    """A valid, an edge-laden, or a 1e100- or 1e-100-scale score list of
+    the length."""
+    return st.one_of(st.lists(_SCORE, min_size=length, max_size=length).map(tuple),
+                     st.just(tuple(range(1, length + 1))),
+                     *(st.just(tuple(scale * k for k in range(1, length + 1)))
+                       for scale in (1e100, 1e-100)))
+
+
+# A 5x5 and a 2x2 table flagged ordinal, the second with 1e18 counts.
+_TABLES = (life_quality_survey(),
+           ContingencyTable([[10**18, 1], [1, 10**18]], ("a", "b"), ("x", "y"),
+                            row_ordinal=True, col_ordinal=True))
+
+
+@st.composite
+def _scored_table(draw):
+    table = draw(st.sampled_from(_TABLES))
+    if draw(st.booleans()):
+        return table, None
+    return table, (draw(_scores(table.n_rows)), draw(_scores(table.n_cols)))
+
+
+def _scored(call):
+    def run(table, scores):
+        return call(table, None if scores is None else ScoreAssignment(*scores))
+    return run
+
+
+def _number(x):
+    return isinstance(x, float) and not math.isnan(x)
+
+
+def _test_result(res):
+    return (isinstance(res, _TestResult) and _number(res.statistic)
+            and 0.0 <= res.p_value <= 1.0)
+
+
+def _interval(ci):
+    return isinstance(ci, ConfidenceInterval) and all(
+        _number(v) for v in (ci.estimate, ci.lower, ci.upper, ci.standard_error))
+
+
+def _pmf(p):
+    return _number(p) and 0.0 <= p <= 1.0
+
+
+def _log_pmf(lp):
+    return _number(lp) and lp <= 0.0
+
+
+# Each callable: its argument tuples, the call and its documented result.
+_CALLS = {
+    "BinomialSpec": (st.tuples(_COUNT, _PROB), BinomialSpec,
+                     lambda s: isinstance(s.trials, int)),
+    "MultinomialSpec": (st.tuples(_COUNT, _PROBS), MultinomialSpec,
+                        lambda s: isinstance(s.trials, int)
+                        and all(map(_number, s.category_probs))),
+    "PoissonSpec": (st.tuples(_RATE), PoissonSpec, lambda s: _number(s.rate)),
+    "binomial_pmf": (st.tuples(_COUNT, _PROB, _COUNT),
+                     lambda n, p, y: binomial_pmf(BinomialSpec(n, p), y), _pmf),
+    "binomial_log_pmf": (st.tuples(_COUNT, _PROB, _COUNT),
+                         lambda n, p, y: binomial_log_pmf(BinomialSpec(n, p), y), _log_pmf),
+    "multinomial_pmf": (st.tuples(_COUNT, _PROBS, st.lists(_COUNT, min_size=2, max_size=3)),
+                        lambda n, p, y: multinomial_pmf(MultinomialSpec(n, p), y), _pmf),
+    "multinomial_log_pmf": (
+        st.tuples(_COUNT, _PROBS, st.lists(_COUNT, min_size=2, max_size=3)),
+        lambda n, p, y: multinomial_log_pmf(MultinomialSpec(n, p), y), _log_pmf),
+    "poisson_pmf": (st.tuples(_RATE, _COUNT),
+                    lambda rate, y: poisson_pmf(PoissonSpec(rate), y), _pmf),
+    "poisson_log_pmf": (st.tuples(_RATE, _COUNT),
+                        lambda rate, y: poisson_log_pmf(PoissonSpec(rate), y), _log_pmf),
+    "mle_proportion": (st.tuples(_COUNT, _COUNT), mle_proportion,
+                       lambda r: len(r) == 2 and all(map(_number, r))),
+    "log_likelihood": (st.tuples(_PROB, _COUNT, _COUNT), log_likelihood, _number),
+    "score_test_proportion": (st.tuples(_COUNT, _COUNT, _INTERIOR), score_test_proportion,
+                              _test_result),
+    "wald_test_proportion": (st.tuples(_COUNT, _COUNT, _INTERIOR), wald_test_proportion,
+                             _test_result),
+    "lr_test_proportion": (st.tuples(_COUNT, _COUNT, _INTERIOR), lr_test_proportion,
+                           lambda r: _test_result(r[0]) and isinstance(r[1], LikelihoodDetail)),
+    "wald_ci": (st.tuples(_COUNT, _COUNT, _arg(0.95, 0.5)), wald_ci, _interval),
+    "ScoreAssignment": (st.tuples(_scores(2), _scores(3)), ScoreAssignment,
+                        lambda s: all(map(_number, s.row_scores + s.col_scores))),
+    "pearson_correlation": (_scored_table(), _scored(pearson_correlation),
+                            lambda r: _number(r) and -1.0 <= r <= 1.0),
+    "mantel_haenszel_test": (_scored_table(), _scored(mantel_haenszel_test), _test_result),
+    "ProbabilityEstimates": (st.tuples(_MATRIX),
+                             lambda joint: ProbabilityEstimates(joint, police_shootings()),
+                             lambda e: isinstance(e, ProbabilityEstimates)),
+    "PoissonScheme": (st.tuples(_MATRIX), PoissonScheme,
+                      lambda s: isinstance(s, PoissonScheme)),
+    "BinomialRowsScheme": (st.tuples(st.tuples(_COUNT, _COUNT), _MATRIX), BinomialRowsScheme,
+                           lambda s: isinstance(s, BinomialRowsScheme)),
+    "MultinomialScheme": (st.tuples(_COUNT, _MATRIX), MultinomialScheme,
+                          lambda s: isinstance(s, MultinomialScheme)),
+    "coverage_wald_ci": (st.tuples(_INTERIOR, _COUNT, _arg(0.95), _arg(1000), _arg(1)),
+                         coverage_wald_ci, lambda c: _number(c) and 0.0 <= c <= 1.0),
+}
+
+
+@st.composite
+def _call(draw):
+    name = draw(st.sampled_from(sorted(_CALLS)))
+    return name, draw(_CALLS[name][0])
+
+
+@given(case=_call())
+# Each of these returned a value or raised OverflowError.
+@example(case=("mle_proportion", (3, math.inf)))
+@example(case=("mle_proportion", (2.5, 10)))
+@example(case=("score_test_proportion", (2.5, 10, 0.5)))
+@example(case=("binomial_log_pmf", (10**400, 0.5, 3)))
+@example(case=("poisson_pmf", (3.0, 10**400)))
+@example(case=("poisson_pmf", (10**400, 3)))
+@example(case=("ProbabilityEstimates", (((math.nan, 0.5), (0.25, 0.25)),)))
+@example(case=("ProbabilityEstimates", (((-0.25, 0.75), (0.25, 0.25)),)))
+@example(case=("pearson_correlation", (_TABLES[0], ((1, 2, 3, 4, math.nan), (1, 2, 3, 4, 5)))))
+@example(case=("pearson_correlation", (_TABLES[0], (tuple(1e100 * k for k in range(1, 6)),) * 2)))
+@example(case=("pearson_correlation", (_TABLES[0], (tuple(1e307 * k for k in range(1, 6)),) * 2)))
+# ss_u * ss_v underflowed to 0: ZeroDivisionError.
+@example(case=("pearson_correlation", (_TABLES[1], ((5e-324, 2e-122), (5e-324, 2e-122)))))
+@settings(max_examples=1000, deadline=None)
+def test_rule_governed_callables_return_or_raise_value_error(case):
+    name, args = case
+    _, call, documented = _CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarnings included
+        try:
+            result = call(*args)
+        except ValueError:
+            return
+    assert documented(result), (name, args, result)

@@ -316,21 +316,49 @@ class TestPoisson:
 
 @pytest.mark.parametrize("call", [
     lambda: BinomialSpec(10.5, 0.5),
-    lambda: BinomialSpec(math.nan, 0.5),
-    lambda: BinomialSpec(math.inf, 0.5),
     lambda: MultinomialSpec(2.5, (0.5, 0.5)),
     lambda: binomial_log_pmf(BinomialSpec(10, 0.5), 2.5),
     lambda: poisson_log_pmf(PoissonSpec(3.0), 2.5),
-    lambda: poisson_log_pmf(PoissonSpec(3.0), math.nan),
     lambda: multinomial_log_pmf(MultinomialSpec(10, (0.5, 0.5)), (2.5, 7.5)),
-], ids=["binomial-trials", "binomial-nan-trials", "binomial-inf-trials",
-        "multinomial-trials", "binomial-count", "poisson-count", "poisson-nan-count",
+], ids=["binomial-trials", "multinomial-trials", "binomial-count", "poisson-count",
         "multinomial-counts"])
 def test_non_integer_counts_rejected(call):
     # The saddle-point form is defined at integer counts; the log-gamma
     # form gave a value for these, and multinomial counts were truncated.
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BinomialSpec(math.nan, 0.5),
+    lambda: BinomialSpec(math.inf, 0.5),
+    lambda: poisson_log_pmf(PoissonSpec(3.0), math.nan),
+    # Accepted up to the float range; the log-pmfs then raised OverflowError.
+    lambda: BinomialSpec(2**63, 0.5),
+    lambda: MultinomialSpec(10**400, (0.5, 0.5)),
+    lambda: poisson_log_pmf(PoissonSpec(3.0), 10**400),
+    lambda: binomial_log_pmf(BinomialSpec(10, 0.5), -1),
+    lambda: multinomial_log_pmf(MultinomialSpec(10, (0.5, 0.5)), (-1, 11)),
+], ids=["binomial-nan-trials", "binomial-inf-trials", "poisson-nan-count",
+        "binomial-trials-2**63", "multinomial-trials-10**400", "poisson-count-10**400",
+        "binomial-negative-count", "multinomial-negative-count"])
+def test_counts_outside_int64_rejected(call):
+    with pytest.raises(ValueError, match="must be between 0 and 9223372036854775807"):
+        call()
+
+
+@pytest.mark.parametrize("probs", [(math.nan, 0.5), (1.5, -0.5), (math.inf, 0.0),
+                                   (10**400, 0.0), (0.5, 0.4)])
+def test_category_probs_follow_the_probability_rule(probs):
+    with pytest.raises(ValueError, match="category_probs must"):
+        MultinomialSpec(3, probs)
+
+
+def test_poisson_rate_beyond_the_float_range_rejected():
+    # 10**400 < math.inf, so the rate was accepted and its pmf raised
+    # OverflowError.
+    with pytest.raises(ValueError, match="rate must be finite"):
+        PoissonSpec(10**400)
 
 
 def test_integral_floats_and_numpy_integers_are_counts():

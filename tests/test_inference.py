@@ -98,6 +98,20 @@ class TestMleProportion:
         with pytest.raises(ValueError):
             mle_proportion(0, 0)
 
+    @pytest.mark.parametrize("call, message", [
+        # These returned (0.0, 0.0), 0.25 and a z score.
+        (lambda: mle_proportion(3, math.inf), "trials must be between 0 and 9223372036854775807"),
+        (lambda: mle_proportion(2.5, 10), "successes must be an integer, got 2.5"),
+        (lambda: score_test_proportion(2.5, 10, 0.5), "successes must be an integer, got 2.5"),
+        # These raised OverflowError.
+        (lambda: mle_proportion(3, 10**400), "trials must be between 0 and 9223372036854775807"),
+        (lambda: score_test_proportion(3, 2**63, 0.5), "trials must be between 0 and "),
+    ], ids=["mle-inf-trials", "mle-2.5-successes", "score-2.5-successes", "mle-10**400-trials",
+            "score-2**63-trials"])
+    def test_counts_follow_the_count_rule(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_estimate_is_grid_argmax_of_likelihood(self):
         rng = random.Random(1234)
         grid = [k / 1000 for k in range(1001)]

@@ -115,7 +115,7 @@ class TestSamplingScheme:
             SamplingScheme.poisson([[1.0, 0.0], [2.0, 3.0]])
 
     def test_binomial_rows_requires_probability_rows(self):
-        with pytest.raises(ValueError, match="probability"):
+        with pytest.raises(ValueError, match=r"row_probs must sum to 1, got \[0.9 1. \]"):
             SamplingScheme.binomial_rows((10, 10), [[0.5, 0.4], [0.5, 0.5]])
         with pytest.raises(ValueError, match="length"):
             SamplingScheme.binomial_rows((10,), [[0.5, 0.5], [0.5, 0.5]])

@@ -117,7 +117,8 @@ class TestContingencyTable:
         [[2**62, 0], [0, 2**62]],
     ])
     def test_rejects_total_above_int64(self, counts):
-        with pytest.raises(ValueError, match="exceeds the largest supported total"):
+        with pytest.raises(ValueError,
+                           match="table total must be between 0 and 9223372036854775807, got"):
             ContingencyTable(counts, ("a", "b"), ("x", "y"))
 
     def test_accepts_total_at_int64_maximum(self):
@@ -249,8 +250,16 @@ class TestJointProbabilities:
 
     def test_hand_built_joint_must_sum_to_one(self):
         table = police_shootings()
-        with pytest.raises(ValueError, match="sum to 0.9"):
+        with pytest.raises(ValueError, match="joint must sum to 1, got 0.8999"):
             ProbabilityEstimates(np.array([[0.2, 0.3], [0.2, 0.2]]), table)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.25], ids=["nan", "negative"])
+    def test_hand_built_joint_must_be_probabilities(self, bad):
+        # Both passed when only the sum was checked: [[nan, ...]] sums to
+        # nan, and [[-0.25, 0.75], ...] to 1.
+        joint = np.array([[bad, 0.75], [0.25, 0.25]])
+        with pytest.raises(ValueError, match=r"joint must be finite and in \[0, 1\], got"):
+            ProbabilityEstimates(joint, police_shootings())
 
     def test_caller_array_is_copied(self):
         joint = np.full((2, 2), 0.25)
