@@ -98,6 +98,7 @@ class BinomialSpec:
         object.__setattr__(self, "trials", _count(self.trials, "trials"))
         if not 0.0 <= self.success_prob <= 1.0:
             raise ValueError(f"success_prob must be in [0, 1], got {self.success_prob}")
+        object.__setattr__(self, "success_prob", float(self.success_prob))
 
 
 @dataclass(frozen=True)

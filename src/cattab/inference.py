@@ -18,7 +18,7 @@ import numpy as np
 from .association import ScoreAssignment, pearson_correlation
 from .distributions import _count
 from .special import chi2_sf, normal_cdf, normal_quantile, xlogy
-from .table import ContingencyTable, _ContentEq
+from .table import ContingencyTable, _ContentEq, _record
 
 __all__ = [
     "StatisticKind",
@@ -112,11 +112,8 @@ class ExpectedFrequencies(_ContentEq):
     def _adopt(cls, values: np.ndarray, hypothesis: str) -> ExpectedFrequencies:
         """Frequencies around a float array built for them alone, kept
         without the copy a caller's array gets."""
-        expected = cls.__new__(cls)
         values.setflags(write=False)
-        object.__setattr__(expected, "values", values)
-        object.__setattr__(expected, "hypothesis", hypothesis)
-        return expected
+        return _record(cls, values=values, hypothesis=hypothesis)
 
 
 @dataclass(frozen=True)
@@ -221,6 +218,19 @@ def lr_test_proportion(
     return result, LikelihoodDetail(log_l0=log_l0, log_l1=log_l1)
 
 
+def _level_quantile(level: float) -> float:
+    """The normal probability 0.5 * (1 + level) whose quantile is a
+    two-sided interval's z; ``ValueError`` unless it lies in [0.5, 1),
+    which a level within 2**-53 of 1 misses by rounding up to 1.0."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    p = 0.5 * (1.0 + level)
+    if p == 1.0:
+        raise ValueError(f"confidence level {level!r} is too close to 1: 0.5 * (1 + level) "
+                         "rounds to 1, whose normal quantile is infinite")
+    return p
+
+
 def wald_ci(
     successes: int, trials: int, level: float = 0.95, *, clip: bool = False
 ) -> ConfidenceInterval:
@@ -229,10 +239,9 @@ def wald_ci(
     Bounds may fall outside [0, 1]; pass ``clip=True`` to truncate them.
     Boundary data (y in {0, n}) produce a degenerate zero-width interval.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    p = _level_quantile(level)
     estimate, se = mle_proportion(successes, trials)
-    z = normal_quantile(0.5 * (1.0 + level))
+    z = normal_quantile(p)
     lower = estimate - z * se
     upper = estimate + z * se
     if clip:
@@ -248,8 +257,9 @@ def _require_positive_margins(table: ContingencyTable) -> float:
     expected frequency is fl(fl(r_i c_j) / n), and correctly rounded
     products and quotients are monotone, so this equals the minimum over
     the expected-frequency matrix bit for bit."""
-    r_min = table.row_totals.min()
-    c_min = table.col_totals.min()
+    # Python's min over a list: ndarray.min costs more on a few margins.
+    r_min = min(table.row_totals.tolist())
+    c_min = min(table.col_totals.tolist())
     if not r_min:
         lab = table.row_labels[int(table.row_totals.argmin())]
         raise ValueError(f"row {lab!r} has zero total; expected frequencies undefined")
@@ -268,7 +278,7 @@ def expected_frequencies(
     if hypothesis not in ("independence", "homogeneity"):
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
     # In floats: an int64 product of two margins can wrap once n > 3e9.
-    mu = table.row_totals.astype(float)[:, None] * table.col_totals
+    mu = table.row_totals.astype(float)[:, None] * table.col_totals.astype(float)
     mu /= table.total()
     return ExpectedFrequencies._adopt(mu, hypothesis)
 
@@ -282,7 +292,10 @@ def _chisq_pair(
 
     Memory: besides the returned expected-frequency matrix, one work
     buffer of the table's size holds every cell term in turn, with or
-    without zero cells. The statistics are bit for bit
+    without zero cells. The counts are cast into it once per statistic,
+    and every later step but G^2's final product takes float64 operands
+    only: a ufunc that mixes int64 and float64 casts through a buffer of
+    its own on every call. The statistics are bit for bit
     ``((o - mu) ** 2 / mu).sum()`` and
     ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms,
     summed in the same order, a zero cell's term an exact zero.
@@ -293,23 +306,27 @@ def _chisq_pair(
     df = (table.n_rows - 1) * (table.n_cols - 1)
     warn = min_expected < SMALL_CELL_THRESHOLD
 
-    work = np.subtract(obs, mu)
+    work = obs.astype(float)
+    work -= mu
     np.square(work, out=work)
-    np.divide(work, mu, out=work)
+    work /= mu
     x2 = float(work.sum())
 
     # 0 ln 0 = 0: a zero cell's ratio is raised to the least subnormal, so
     # its term is 0 * -744.4 = -0.0; a positive o / mu >= 1 / n is unmoved.
-    np.divide(obs, mu, out=work)
+    np.copyto(work, obs)
+    work /= mu
     np.fmax(work, math.ulp(0.0), out=work)
     np.log(work, out=work)
-    np.multiply(work, obs, out=work)
+    work *= obs
     g2 = max(0.0, float(2.0 * work.sum()))
 
-    pearson = TestResult(x2, StatisticKind.PEARSON_CHISQ, df, chi2_sf(df, x2),
-                         small_cell_warning=warn)
-    deviance = TestResult(g2, StatisticKind.DEVIANCE_CHISQ, df, chi2_sf(df, g2),
-                          small_cell_warning=warn)
+    pearson = _record(TestResult, statistic=x2, statistic_kind=StatisticKind.PEARSON_CHISQ,
+                      df=df, p_value=chi2_sf(df, x2), sidedness=None,
+                      small_cell_warning=warn)
+    deviance = _record(TestResult, statistic=g2, statistic_kind=StatisticKind.DEVIANCE_CHISQ,
+                       df=df, p_value=chi2_sf(df, g2), sidedness=None,
+                       small_cell_warning=warn)
     return pearson, deviance, expected
 
 
@@ -347,4 +364,5 @@ def mantel_haenszel_test(
             "explicit scores required: table axes are not flagged ordinal")
     r = pearson_correlation(table, scores)
     stat = (table.total() - 1) * r * r
-    return TestResult(stat, StatisticKind.MANTEL_HAENSZEL, 1, chi2_sf(1, stat))
+    return _record(TestResult, statistic=stat, statistic_kind=StatisticKind.MANTEL_HAENSZEL,
+                   df=1, p_value=chi2_sf(1, stat), sidedness=None, small_cell_warning=False)

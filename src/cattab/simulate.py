@@ -28,6 +28,7 @@ from .distributions import _INT64_MAX, _as_integer, _count, _probabilities
 from .inference import (
     StatisticKind,
     TestResult,
+    _level_quantile,
     _proportion_data,
     independence_test,
     mantel_haenszel_test,
@@ -351,6 +352,7 @@ def coverage_wald_ci(
     the true proportion. Requires at least 1000 replicates."""
     if not 0.0 < true_pi < 1.0:
         raise ValueError(f"true proportion must be interior, got {true_pi}")
+    _level_quantile(level)  # refused before the draws, not by wald_ci after them
     _, trials = _proportion_data(0, trials)
     replicates = _replicate_count(replicates)
     ys = _rng(seed).binomial(trials, true_pi, size=replicates)

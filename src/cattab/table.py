@@ -55,6 +55,16 @@ class _ContentEq:
                           if isinstance(v, np.ndarray) else v for v in self._content()))
 
 
+def _record(cls, **values):
+    """An instance of the frozen dataclass ``cls`` with its instance dict
+    filled from ``values``, without ``__init__`` or ``__post_init__``: for
+    records of values computed here, whose checks the construction would
+    only repeat. ``values`` must name every field, defaults included."""
+    record = cls.__new__(cls)
+    record.__dict__.update(values)
+    return record
+
+
 def _frozen_int_matrix(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
@@ -70,7 +80,9 @@ def _frozen_int_matrix(values) -> np.ndarray:
             if outside.any():
                 i, j = map(int, np.argwhere(outside)[0])
                 raise ValueError(f"count {arr[i, j]} at cell ({i}, {j}) {fault}")
-    arr = arr.astype(np.int64)
+    # C order whatever the caller's layout: a sum or product over the
+    # cells runs in memory order, so one layout gives one result.
+    arr = arr.astype(np.int64, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -182,25 +194,28 @@ class ProbabilityEstimates(_ContentEq):
     def __post_init__(self) -> None:
         # A copy, so that freezing it leaves the caller's array writable
         # and a later write to that array cannot change these estimates.
-        self._freeze(_probabilities(self.joint, "joint"))
+        joint = _probabilities(self.joint, "joint")
+        rows, cols = _frozen_marginals(joint)
+        object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "row_marginal", rows)
+        object.__setattr__(self, "col_marginal", cols)
 
     @classmethod
     def _adopt(cls, joint: np.ndarray, source: ContingencyTable) -> ProbabilityEstimates:
         """Estimates around a float array built for them alone from a table,
         kept without the copy and the check a caller's array gets."""
-        estimates = cls.__new__(cls)
-        object.__setattr__(estimates, "source", source)
-        estimates._freeze(joint)
-        return estimates
+        rows, cols = _frozen_marginals(joint)
+        return _record(cls, joint=joint, row_marginal=rows, col_marginal=cols, source=source)
 
-    def _freeze(self, joint: np.ndarray) -> None:
-        rows = joint.sum(axis=1)
-        cols = joint.sum(axis=0)
-        for arr in (joint, rows, cols):
-            arr.setflags(write=False)
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "row_marginal", rows)
-        object.__setattr__(self, "col_marginal", cols)
+
+def _frozen_marginals(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column sums of ``joint``; all three arrays are made read-only."""
+    rows = joint.sum(axis=1)
+    cols = joint.sum(axis=0)
+    joint.setflags(write=False)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def crosstab(

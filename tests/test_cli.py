@@ -525,6 +525,20 @@ class TestExitCodes:
                                SHOOTINGS, "--rows", "1,1")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "proportion", "--successes", "3", "--trials", "10", "--null", ".5"],
+        ["simulate", "coverage", "--pi", ".5", "--trials", "10", "--replicates", "1000",
+         "--seed", "1"],
+    ])
+    def test_domain_error_level_too_close_to_one(self, capsys, argv):
+        # Reported as "normal_quantile requires 0 < p < 1, got 1.0".
+        code, out, err = run_cli(capsys, *argv, "--level", "0.9999999999999999")
+        assert code == 3
+        assert out == ""
+        assert err == ("cattab: error: confidence level 0.9999999999999999 is too close "
+                       "to 1: 0.5 * (1 + level) rounds to 1, whose normal quantile is "
+                       "infinite\n")
+
     def test_input_error_bad_scores(self, capsys):
         code, _, err = run_cli(capsys, "test", "linear", "--input", SURVEY,
                                "--scores", "1:5")

@@ -1,20 +1,26 @@
-"""Library contract fuzz for the three input rules.
+"""Library contract fuzz for the three input rules and the per-table
+statistics.
 
 Every callable that takes a count, a probability vector or a score is
 called with arguments drawn from a few valid values and from the edges
-below. Each call must return its documented type, with no NaN where a
-number is returned, or raise ``ValueError``, and must warn nothing.
+below; every per-table statistic is called on tables with an empty row
+or column, a single nonzero cell or a total near the int64 maximum, whose
+counts arrive read-only, Fortran-ordered or as a strided view. Each call
+must return its documented type, with no NaN where a number is returned,
+or raise ``ValueError``, and must warn nothing.
 """
 
 import math
 import warnings
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cattab import (
     BinomialSpec,
     ConfidenceInterval,
+    ExpectedFrequencies,
     LikelihoodDetail,
     MultinomialSpec,
     PoissonSpec,
@@ -22,13 +28,19 @@ from cattab import (
     ScoreAssignment,
     binomial_log_pmf,
     binomial_pmf,
+    conditional_probabilities,
     coverage_wald_ci,
+    expected_frequencies,
+    homogeneity_test,
+    independence_test,
+    joint_probabilities,
     log_likelihood,
     lr_test_proportion,
     mantel_haenszel_test,
     mle_proportion,
     multinomial_log_pmf,
     multinomial_pmf,
+    odds_ratio,
     pearson_correlation,
     poisson_log_pmf,
     poisson_pmf,
@@ -36,6 +48,8 @@ from cattab import (
     wald_ci,
     wald_test_proportion,
 )
+from cattab.association import OddsRatioResult
+from cattab.distributions import _INT64_MAX
 from cattab.fixtures import life_quality_survey, police_shootings
 from cattab.inference import TestResult as _TestResult  # not a test class
 from cattab.simulate import BinomialRowsScheme, MultinomialScheme, PoissonScheme
@@ -93,6 +107,60 @@ def _scored(call):
     return run
 
 
+# How the counts reach ContingencyTable: each gives the same values.
+_LAYOUTS = {
+    "list": lambda a: a.tolist(),
+    "C": np.ascontiguousarray,
+    "Fortran": np.asfortranarray,
+    "read-only": lambda a: np.lib.stride_tricks.as_strided(a, writeable=False),
+    "sliced": lambda a: np.repeat(np.repeat(a, 2, axis=0), 3, axis=1)[1::2, ::3],
+    "reversed": lambda a: np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1],
+}
+
+
+@st.composite
+def _count_table(draw):
+    """A valid table, of small counts or of one of the edge shapes, its
+    counts passed in one of the layouts."""
+    n_rows, n_cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    counts = np.array(draw(st.lists(st.integers(0, 5), min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols)),
+                      dtype=np.int64).reshape(n_rows, n_cols)
+    i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+    edge = draw(st.sampled_from(["none", "zero row", "zero column", "single cell",
+                                 "near int64 max"]))
+    if edge == "zero row":
+        counts[i] = 0
+    elif edge == "zero column":
+        counts[:, j] = 0
+    elif edge == "single cell":
+        counts[:] = 0
+        counts[i, j] = draw(st.sampled_from([1, 7, _INT64_MAX]))
+    elif edge == "near int64 max":
+        counts[i, j] += _INT64_MAX - int(counts.sum()) - draw(st.integers(0, 10))
+    if not counts.any():
+        counts[i, j] = 1
+    ordinal = draw(st.booleans())
+    return ContingencyTable(_LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](counts),
+                            tuple(f"r{k}" for k in range(n_rows)),
+                            tuple(f"c{k}" for k in range(n_cols)),
+                            row_ordinal=ordinal, col_ordinal=ordinal)
+
+
+@st.composite
+def _two_indices(draw, limit):
+    first = draw(st.integers(0, limit - 1))
+    second = draw(st.integers(0, limit - 2))
+    return first, second + (second >= first)
+
+
+@st.composite
+def _odds_ratio_args(draw):
+    table = draw(_count_table())
+    return (table, draw(_two_indices(table.n_rows)), draw(_two_indices(table.n_cols)),
+            draw(st.booleans()))
+
+
 def _number(x):
     return isinstance(x, float) and not math.isnan(x)
 
@@ -105,6 +173,26 @@ def _test_result(res):
 def _interval(ci):
     return isinstance(ci, ConfidenceInterval) and all(
         _number(v) for v in (ci.estimate, ci.lower, ci.upper, ci.standard_error))
+
+
+def _finite_array(a, shape=None):
+    return (isinstance(a, np.ndarray) and shape in (None, a.shape)
+            and bool(np.isfinite(a).all()))
+
+
+def _expected(e):
+    return isinstance(e, ExpectedFrequencies) and _finite_array(e.values)
+
+
+def _chisq_pair(res):
+    pearson, deviance, expected = res
+    return _test_result(pearson) and _test_result(deviance) and _expected(expected)
+
+
+def _estimates(e):
+    return (isinstance(e, ProbabilityEstimates) and _finite_array(e.joint, e.source.shape)
+            and _finite_array(e.row_marginal, (e.source.n_rows,))
+            and _finite_array(e.col_marginal, (e.source.n_cols,)))
 
 
 def _pmf(p):
@@ -162,6 +250,22 @@ _CALLS = {
                           lambda s: isinstance(s, MultinomialScheme)),
     "coverage_wald_ci": (st.tuples(_INTERIOR, _COUNT, _arg(0.95), _arg(1000), _arg(1)),
                          coverage_wald_ci, lambda c: _number(c) and 0.0 <= c <= 1.0),
+    "independence_test": (st.tuples(_count_table()), independence_test, _chisq_pair),
+    "homogeneity_test": (st.tuples(_count_table()), homogeneity_test, _chisq_pair),
+    "expected_frequencies": (
+        st.tuples(_count_table(), st.sampled_from(["independence", "homogeneity", "x"])),
+        expected_frequencies, _expected),
+    "pearson_correlation (tables)": (st.tuples(_count_table()), pearson_correlation,
+                                     lambda r: _number(r) and -1.0 <= r <= 1.0),
+    "mantel_haenszel_test (tables)": (st.tuples(_count_table()), mantel_haenszel_test,
+                                      _test_result),
+    "odds_ratio": (_odds_ratio_args(), odds_ratio,
+                   lambda r: isinstance(r, OddsRatioResult) and _number(r.estimate)
+                   and r.estimate >= 0.0),
+    "joint_probabilities": (st.tuples(_count_table()), joint_probabilities, _estimates),
+    "conditional_probabilities": (
+        st.tuples(_count_table(), st.sampled_from(["rows", "cols", "x"])),
+        conditional_probabilities, _finite_array),
 }
 
 
@@ -184,6 +288,10 @@ def _call(draw):
 @example(case=("pearson_correlation", (_TABLES[0], ((1, 2, 3, 4, math.nan), (1, 2, 3, 4, 5)))))
 @example(case=("pearson_correlation", (_TABLES[0], (tuple(1e100 * k for k in range(1, 6)),) * 2)))
 @example(case=("pearson_correlation", (_TABLES[0], (tuple(1e307 * k for k in range(1, 6)),) * 2)))
+# 0.5 * (1 + level) rounded to 1.0: normal_quantile's ValueError, after
+# coverage_wald_ci's draws.
+@example(case=("wald_ci", (3, 10, 1 - 2**-53)))
+@example(case=("coverage_wald_ci", (0.5, 10, 1 - 2**-53, 1000, 1)))
 # ss_u * ss_v underflowed to 0: ZeroDivisionError.
 @example(case=("pearson_correlation", (_TABLES[1], ((5e-324, 2e-122), (5e-324, 2e-122)))))
 @settings(max_examples=1000, deadline=None)

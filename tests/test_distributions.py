@@ -179,6 +179,15 @@ class TestBinomialMoments:
     def test_degenerate(self):
         assert binomial_moments(BinomialSpec(100, 0.0)) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("prob", [0, 1, True, np.int64(1)])
+    def test_integral_probability_stored_as_float(self, prob):
+        # BinomialSpec(10, 1) kept the int, and the mean was the int 10.
+        spec = BinomialSpec(10, prob)
+        assert type(spec.success_prob) is float and spec.success_prob == prob
+        mean, variance = binomial_moments(spec)
+        assert type(mean) is float and type(variance) is float
+        assert (mean, variance) == (10.0 * prob, 0.0)
+
     def test_against_brute_force(self):
         spec = BinomialSpec(10, 0.5)
         mean, variance = binomial_moments(spec)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cattab.association import ScoreAssignment, default_scores
+from cattab.association import ScoreAssignment, default_scores, pearson_correlation
 from cattab.fixtures import life_quality_survey, police_shootings, vaccine_trial
 from cattab.inference import (
     ExpectedFrequencies,
@@ -289,6 +289,14 @@ class TestWaldCi:
         with pytest.raises(ValueError):
             wald_ci(3, 10, 1.0)
 
+    def test_level_whose_quantile_rounds_to_one(self):
+        # 0.5 * (1 + level) rounds to 1.0: normal_quantile refused 1.0
+        # with a message about its own argument.
+        with pytest.raises(ValueError, match="confidence level 0.9999999999999999 is too close"):
+            wald_ci(3, 10, 1 - 2**-53)
+        ci = wald_ci(3, 10, 1 - 2**-52)  # the largest level that has a quantile
+        assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
+
 
 class TestExpectedFrequencies:
     def test_shootings_cell(self):
@@ -559,7 +567,9 @@ NEAR_1E18 = np.array([[10**18, 0, 3 * 10**18],
 
 class TestLargeTableKernel:
     """Tables past numpy's 128-element pairwise-summation block, checked
-    bit for bit against the plain formulas the kernels implement."""
+    bit for bit against the plain formulas the kernels implement: X^2,
+    G^2 and the expected frequencies, and r and M^2 under the integer
+    scores as ``du @ counts @ dv`` over the sums of squares."""
 
     @pytest.mark.parametrize("size, seed, zero_cells", [
         *((size, seed, zero_cells)
@@ -572,7 +582,7 @@ class TestLargeTableKernel:
         # zero cells where mu is near 1e18 and a count of 1 where it is
         # near 2e17.
         counts = NEAR_1E18 if seed is None else seeded_counts(size, zero_cells, seed)
-        table = make_table(counts)
+        table = make_table(counts, row_ordinal=True, col_ordinal=True)
         o = table.counts
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -589,6 +599,16 @@ class TestLargeTableKernel:
                 assert deviance.p_value == chi2_sf(df, g2)
                 assert pearson.small_cell_warning == deviance.small_cell_warning \
                     == bool(mu.min() < 5)
+            rows, cols = table.row_totals.astype(float), table.col_totals.astype(float)
+            scores = np.arange(1.0, size + 1)
+            du = scores - rows @ scores / table.total()
+            dv = scores - cols @ scores / table.total()
+            r = float(du @ o @ dv) / math.sqrt(float(rows @ du**2) * float(cols @ dv**2))
+            r = max(-1.0, min(1.0, r))
+            m2 = (table.total() - 1) * r * r
+            assert pearson_correlation(table) == r
+            linear = mantel_haenszel_test(table)
+            assert linear.statistic == m2 and linear.p_value == chi2_sf(1, m2)
 
     @pytest.mark.parametrize("zero_cells", [False, True])
     def test_peak_allocation(self, zero_cells):

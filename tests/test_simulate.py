@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cattab import simulate
 from cattab.association import ScoreAssignment
 from cattab.distributions import BinomialSpec, MultinomialSpec, binomial_pmf, multinomial_pmf
 from cattab.inference import StatisticKind, independence_test, mantel_haenszel_test, wald_ci
@@ -369,6 +370,14 @@ class TestCoverage:
             coverage_wald_ci(0.5, 0, 0.95, 1000, seed=1)
         with pytest.raises(ValueError):
             coverage_wald_ci(0.5, 10, 0.95, 500, seed=1)
+
+    def test_level_checked_before_drawing(self, monkeypatch):
+        # The level was first checked by wald_ci, after 10**7 draws.
+        def no_draws(seed):
+            raise AssertionError("drew replicates for a refused level")
+        monkeypatch.setattr(simulate, "_rng", no_draws)
+        with pytest.raises(ValueError, match="confidence level 0.9999999999999999 is too close"):
+            coverage_wald_ci(0.5, 10, 1 - 2**-53, 10**7, 1)
 
     @pytest.mark.parametrize("trials, replicates, seed, message", [
         (100.7, 1000, 1, "trials must be an integer, got 100.7"),  # was 0.96

@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cattab.fixtures import police_shootings, vaccine_trial
-from cattab.inference import ExpectedFrequencies, expected_frequencies
+from cattab.association import OddsRatioResult, odds_ratio, pearson_correlation
+from cattab.fixtures import life_quality_survey, police_shootings, vaccine_trial
+from cattab.inference import (
+    ExpectedFrequencies,
+    StatisticKind,
+    expected_frequencies,
+    homogeneity_test,
+    independence_test,
+    mantel_haenszel_test,
+)
+from cattab.inference import TestResult as _TestResult  # not a test class
 from cattab.simulate import SamplingScheme
 from cattab.table import (
     ContingencyTable,
@@ -421,3 +430,108 @@ def test_array_dataclasses_compare_by_content(build, variants):
         assert (first == stranger) is False
         assert (first != stranger) is True
     first == np.zeros(2)  # numpy answers elementwise; nothing raises
+
+
+def _outputs_as_bytes(table):
+    """Every output of the seven per-table statistics, as bytes: each
+    float by its hex form, each array by its dtype, shape and buffer."""
+    def dump(x):
+        if isinstance(x, np.ndarray):
+            return f"{x.dtype.str}{x.shape}{x.tobytes().hex()}"
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, tuple):
+            return "(" + ",".join(map(dump, x)) + ")"
+        if dataclasses.is_dataclass(x):
+            return type(x).__name__ + dump(tuple(getattr(x, f.name)
+                                                 for f in dataclasses.fields(x)))
+        return repr(x)
+
+    return dump((independence_test(table), homogeneity_test(table),
+                 mantel_haenszel_test(table), pearson_correlation(table), odds_ratio(table),
+                 joint_probabilities(table), conditional_probabilities(table, "rows"),
+                 conditional_probabilities(table, "cols")))
+
+
+def _read_only(counts):
+    counts = counts.copy()
+    counts.setflags(write=False)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_counts_layout_does_not_change_any_output(seed):
+    # Sums over Fortran-ordered counts ran in column order: the joint
+    # marginals, X^2, G^2 and r differed from those of C-ordered counts
+    # with the same values.
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = rng.integers(2, 16, size=2)
+    counts = rng.poisson(rng.uniform(0.5, 50.0), size=(n_rows, n_cols))
+    counts[rng.random(counts.shape) < 0.2] = 0
+    counts[np.arange(n_rows), rng.integers(n_cols, size=n_rows)] += 1
+    counts[rng.integers(n_rows, size=n_cols), np.arange(n_cols)] += 1
+    counts[0, 0] += 1  # the default odds ratio is defined
+    layouts = {
+        "C": np.ascontiguousarray(counts),
+        "Fortran": np.asfortranarray(counts),
+        "negative strides": np.ascontiguousarray(counts[::-1, ::-1])[::-1, ::-1],
+        "read-only": _read_only(counts),
+    }
+    outputs = {}
+    for name, arr in layouts.items():
+        assert np.array_equal(arr, counts)
+        table = ContingencyTable(arr, tuple(f"r{i}" for i in range(n_rows)),
+                                 tuple(f"c{j}" for j in range(n_cols)),
+                                 row_ordinal=True, col_ordinal=True)
+        assert table.counts.flags.c_contiguous
+        outputs[name] = _outputs_as_bytes(table)
+    for name, dump in outputs.items():
+        assert dump == outputs["C"], name
+
+
+def _same_instance_dict(direct, twin):
+    """``direct`` equals ``twin`` and holds the same instance dict: the
+    same names, and values of the same type that are equal, arrays also
+    in dtype, shape, buffer and write flag."""
+    assert direct == twin
+    assert type(direct) is type(twin)
+    mine, theirs = vars(direct), vars(twin)
+    assert mine.keys() == theirs.keys()
+    for name, value in mine.items():
+        other = theirs[name]
+        assert type(value) is type(other), name
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and value.shape == other.shape, name
+            assert value.tobytes() == other.tobytes(), name
+            assert value.flags.writeable == other.flags.writeable, name
+        else:
+            assert value == other, name
+
+
+@pytest.mark.parametrize("table", [police_shootings(), life_quality_survey(),
+                                   ContingencyTable([[0, 3], [4, 0]], ("a", "b"), ("x", "y"),
+                                                    row_ordinal=True, col_ordinal=True)],
+                         ids=["2x2", "5x5", "zero-cells"])
+def test_directly_built_records_match_their_public_twins(table):
+    # The per-table statistics fill their records' instance dicts
+    # directly; a field left out (a default such as sidedness) would
+    # still read from the class, so == alone would not see it.
+    for test in (independence_test, homogeneity_test):
+        pearson, deviance, expected = test(table)
+        for result in (pearson, deviance):
+            _same_instance_dict(result, _TestResult(
+                result.statistic, result.statistic_kind, result.df, result.p_value,
+                small_cell_warning=result.small_cell_warning))
+        _same_instance_dict(expected, ExpectedFrequencies(expected.values,
+                                                          expected.hypothesis))
+    if table.row_ordinal:
+        linear = mantel_haenszel_test(table)
+        assert linear.statistic_kind is StatisticKind.MANTEL_HAENSZEL
+        _same_instance_dict(linear, _TestResult(linear.statistic, linear.statistic_kind,
+                                               linear.df, linear.p_value))
+    for correction in (False, True):
+        ratio = odds_ratio(table, zero_correction=correction)
+        _same_instance_dict(ratio, OddsRatioResult(ratio.estimate, ratio.cells_used,
+                                                   ratio.correction_applied))
+    estimates = joint_probabilities(table)
+    _same_instance_dict(estimates, ProbabilityEstimates(estimates.joint, table))
