@@ -176,8 +176,9 @@ def pearson_correlation(
     n = table.total()
     if n < 2:
         raise ValueError("correlation needs at least 2 observations")
-    # dot casts the int64 counts to a float copy of its own.
-    cross, ss_u, ss_v = _scored_moments(table.counts, table.row_totals.astype(float),
+    # The table's float copy of the counts: dot on the int64 counts would
+    # cast them to a float copy of its own on every call.
+    cross, ss_u, ss_v = _scored_moments(table._float_counts, table.row_totals.astype(float),
                                         table.col_totals.astype(float), n, u, v)
     if ss_u <= 0.0:
         raise ValueError("row scores have zero variance over the observed data")

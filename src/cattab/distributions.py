@@ -69,9 +69,12 @@ def _count(value, what: str) -> int:
 
 
 def _probabilities(values, what: str, axis: int | None = None) -> np.ndarray:
-    """The probability rule, as a float copy: finite, in [0, 1], summing to 1 along ``axis``."""
+    """The probability rule, as a C-ordered float copy: finite, in [0, 1],
+    summing to 1 along ``axis``."""
     try:
-        probs = np.array(values, dtype=float)
+        # C order whatever the caller's layout, as a table's counts: a sum
+        # runs in memory order, so one layout gives one result.
+        probs = np.array(values, dtype=float, order="C")
     except OverflowError:  # an int beyond the float range, such as 10**400
         raise ValueError(f"{what} must be finite and in [0, 1]") from None
     outside = ~((probs >= 0.0) & (probs <= 1.0))  # NaN too; checked before a sum overflows

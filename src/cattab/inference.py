@@ -94,10 +94,25 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
+def _expected_matrix(row_totals: np.ndarray, col_totals: np.ndarray, n: int) -> np.ndarray:
+    """The writable float matrix row_total * col_total / n: the one
+    expression for the expected frequencies."""
+    # In floats: an int64 product of two margins can wrap once n > 3e9.
+    mu = row_totals.astype(float)[:, None] * col_totals.astype(float)
+    mu /= n
+    return mu
+
+
 @dataclass(frozen=True, eq=False)
 class ExpectedFrequencies(_ContentEq):
     """Estimated expected cell frequencies row_total * col_total / n,
-    under either the independence or the homogeneity hypothesis."""
+    under either the independence or the homogeneity hypothesis.
+
+    ``values`` is a read-only float matrix. The frequencies that
+    :func:`independence_test` and :func:`homogeneity_test` return keep
+    only the table's margins and n, and build ``values`` on first read,
+    with the expression :func:`expected_frequencies` uses; a test whose
+    caller reads only the statistics holds no table-sized matrix."""
 
     values: np.ndarray
     hypothesis: str  # "independence" | "homogeneity"
@@ -114,6 +129,25 @@ class ExpectedFrequencies(_ContentEq):
         without the copy a caller's array gets."""
         values.setflags(write=False)
         return _record(cls, values=values, hypothesis=hypothesis)
+
+    @classmethod
+    def _deferred(cls, table: ContingencyTable, hypothesis: str) -> ExpectedFrequencies:
+        """Frequencies of ``table`` whose ``values`` are built on first read."""
+        return _record(cls, hypothesis=hypothesis,
+                       _margins=(table._row_totals, table._col_totals, table._total))
+
+    def __getattr__(self, name: str):
+        # Reached only when ``name`` is not in the instance dict: once
+        # built, ``values`` is read like any other field, and the record's
+        # instance dict is that of one built by ``_adopt``.
+        margins = self.__dict__.get("_margins")
+        if name != "values" or margins is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = _expected_matrix(*margins)
+        values.setflags(write=False)
+        self.__dict__.setdefault("values", values)
+        self.__dict__.pop("_margins", None)
+        return self.__dict__["values"]
 
 
 @dataclass(frozen=True)
@@ -277,9 +311,7 @@ def expected_frequencies(
     only the interpretation of the fit differs."""
     if hypothesis not in ("independence", "homogeneity"):
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
-    # In floats: an int64 product of two margins can wrap once n > 3e9.
-    mu = table.row_totals.astype(float)[:, None] * table.col_totals.astype(float)
-    mu /= table.total()
+    mu = _expected_matrix(table.row_totals, table.col_totals, table.total())
     return ExpectedFrequencies._adopt(mu, hypothesis)
 
 
@@ -290,32 +322,30 @@ def _chisq_pair(
     ``min_expected`` is the smallest expected frequency, from
     :func:`_require_positive_margins`.
 
-    Memory: besides the returned expected-frequency matrix, one work
-    buffer of the table's size holds every cell term in turn, with or
-    without zero cells. The counts are cast into it once per statistic,
-    and every later step but G^2's final product takes float64 operands
-    only: a ufunc that mixes int64 and float64 casts through a buffer of
-    its own on every call. The statistics are bit for bit
+    Memory: two buffers of the table's size, with or without zero cells,
+    both freed on return: the expected frequencies and one work buffer
+    that holds every cell term in turn. The counts are the table's float
+    copy, so every step takes float64 operands only (a ufunc that mixes
+    int64 and float64 casts through a buffer of its own on every call).
+    The returned expected frequencies build their matrix again only when
+    read. The statistics are bit for bit
     ``((o - mu) ** 2 / mu).sum()`` and
     ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms,
     summed in the same order, a zero cell's term an exact zero.
     """
-    expected = expected_frequencies(table, hypothesis)
-    mu = expected.values
-    obs = table.counts
+    mu = _expected_matrix(table.row_totals, table.col_totals, table.total())
+    obs = table._float_counts
     df = (table.n_rows - 1) * (table.n_cols - 1)
     warn = min_expected < SMALL_CELL_THRESHOLD
 
-    work = obs.astype(float)
-    work -= mu
+    work = np.subtract(obs, mu)
     np.square(work, out=work)
     work /= mu
     x2 = float(work.sum())
 
     # 0 ln 0 = 0: a zero cell's ratio is raised to the least subnormal, so
     # its term is 0 * -744.4 = -0.0; a positive o / mu >= 1 / n is unmoved.
-    np.copyto(work, obs)
-    work /= mu
+    np.divide(obs, mu, out=work)
     np.fmax(work, math.ulp(0.0), out=work)
     np.log(work, out=work)
     work *= obs
@@ -327,7 +357,7 @@ def _chisq_pair(
     deviance = _record(TestResult, statistic=g2, statistic_kind=StatisticKind.DEVIANCE_CHISQ,
                        df=df, p_value=chi2_sf(df, g2), sidedness=None,
                        small_cell_warning=warn)
-    return pearson, deviance, expected
+    return pearson, deviance, ExpectedFrequencies._deferred(table, hypothesis)
 
 
 def independence_test(

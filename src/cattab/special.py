@@ -23,6 +23,7 @@ and infinite arguments included, except x = +inf, where the tails are
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "ln_gamma",
@@ -49,6 +50,10 @@ _TEMME_MAX_MU = 0.25
 _FINITE_SUM_MAX_DF = 2.0 * _TEMME_MIN_A
 # exp() of anything below this is 0.0.
 _LOG_UNDERFLOW = -746.0
+# The continued fraction stops once a factor lies within this bound of
+# 1, a few ulps. A bound of 1e-16 admits 1.0 alone, since 1 - 2**-53, the
+# float below it, is 1.11e-16 away; factors that settle there never stop.
+_CF_TOL = 2.0 * sys.float_info.epsilon
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # Taylor coefficients in eta of Temme's C_k(eta), k = 0..6 (Temme 1979;
@@ -117,7 +122,14 @@ def _gamma_series(a: float, x: float) -> float:
 
 def _gamma_cf(a: float, x: float) -> float:
     # Upper regularized gamma Q(a, x) by continued fraction (modified
-    # Lentz); good for x >= a + 1.
+    # Lentz); good for x >= a + 1. There Q is below its prefactor
+    # x^a e^-x / Gamma(a): Gamma(a, x) <= x^(a-1) e^-x x / (x - a + 1) for
+    # a >= 1, and <= x^(a-1) e^-x for a < 1. A prefactor whose exp() is
+    # 0.0 therefore gives Q = 0.0 exactly, as the fraction times that
+    # exp() would, without iterating.
+    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
+    if log_prefactor < _LOG_UNDERFLOW:
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -135,8 +147,8 @@ def _gamma_cf(a: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+        if abs(delta - 1.0) <= _CF_TOL:
+            return h * math.exp(log_prefactor)
     raise RuntimeError(f"incomplete gamma fraction failed to converge (a={a}, x={x})")
 
 

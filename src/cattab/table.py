@@ -137,6 +137,10 @@ class ContingencyTable(_ContentEq):
             raise ValueError("table total must be at least 1")
         row_totals.setflags(write=False)
         col_totals.setflags(write=False)
+        # The counts as float64, cast once here (C order, as ``counts``):
+        # every statistic reads this copy instead of casting its own.
+        float_counts = counts.astype(float)
+        float_counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "row_labels",
                            _unique_labels(self.row_labels, n_rows, "row"))
@@ -144,6 +148,7 @@ class ContingencyTable(_ContentEq):
                            _unique_labels(self.col_labels, n_cols, "column"))
         # Computed once here and read by every statistic; not fields, so
         # they stay out of the constructor, repr and equality.
+        object.__setattr__(self, "_float_counts", float_counts)
         object.__setattr__(self, "_row_totals", row_totals)
         object.__setattr__(self, "_col_totals", col_totals)
         object.__setattr__(self, "_total", n)
@@ -293,8 +298,7 @@ def expand_records(table: ContingencyTable) -> list[Record]:
 def joint_probabilities(table: ContingencyTable) -> ProbabilityEstimates:
     """ML estimates of the joint cell probabilities (count / n) together
     with the row and column marginals."""
-    joint = table.counts.astype(float)
-    joint /= table.total()
+    joint = np.divide(table._float_counts, table.total())
     return ProbabilityEstimates._adopt(joint, table)
 
 
@@ -321,9 +325,8 @@ def conditional_probabilities(
             raise ValueError(f"cannot condition on empty column {lab!r}")
     else:
         raise ValueError(f"given must be 'rows' or 'cols', got {given!r}")
-    # A float copy divided in place: int64 operands of the division
-    # would each be cast through a buffer of their own.
-    out = table.counts.astype(float)
-    out /= margins.astype(float)
+    # Float operands only: an int64 operand of the division would be
+    # cast through a buffer of its own.
+    out = np.divide(table._float_counts, margins.astype(float))
     out.setflags(write=False)
     return out

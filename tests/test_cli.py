@@ -765,6 +765,19 @@ def test_readme_example_json_is_unchanged(capsys, example):
     assert out == example["stdout"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_statistic_near_int64_exits_zero(capsys, fmt):
+    """A 16x16 table with diagonal cells 242574296131211638: X^2 = 5.8e19 at
+    df 225, whose p-value's continued fraction raised RuntimeError, printed
+    as a traceback with exit 1."""
+    code, out, err = run_cli(capsys, "test", "independence", "--input",
+                             str(GOLDEN_DIR / "huge_diagonal_16x16.csv"), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        assert results["pearson"]["p_value"] == results["deviance"]["p_value"] == 0
+
+
 @pytest.mark.parametrize("example", _golden("cli_outputs.json"),
                          ids=lambda example: " ".join(example["argv"]))
 def test_cli_output_is_unchanged(capsys, monkeypatch, example):

@@ -12,6 +12,7 @@ or raise ``ValueError``, and must warn nothing.
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -52,8 +53,11 @@ from cattab.association import OddsRatioResult
 from cattab.distributions import _INT64_MAX
 from cattab.fixtures import life_quality_survey, police_shootings
 from cattab.inference import TestResult as _TestResult  # not a test class
+from cattab.io import parse_counts_csv
 from cattab.simulate import BinomialRowsScheme, MultinomialScheme, PoissonScheme
 from cattab.table import ContingencyTable
+
+_HUGE_DIAGONAL_CSV = Path(__file__).parent / "golden" / "huge_diagonal_16x16.csv"
 
 # Subnormals, NaN, the infinities, the int64 maximum and one past it, an
 # int beyond the float range, non-integral floats and negatives.
@@ -292,6 +296,9 @@ def _call(draw):
 # coverage_wald_ci's draws.
 @example(case=("wald_ci", (3, 10, 1 - 2**-53)))
 @example(case=("coverage_wald_ci", (0.5, 10, 1 - 2**-53, 1000, 1)))
+# X^2 = 5.8e19 at df 225: the incomplete gamma fraction never met its
+# stop and raised RuntimeError.
+@example(case=("independence_test", (parse_counts_csv(_HUGE_DIAGONAL_CSV),)))
 # ss_u * ss_v underflowed to 0: ZeroDivisionError.
 @example(case=("pearson_correlation", (_TABLES[1], ((5e-324, 2e-122), (5e-324, 2e-122)))))
 @settings(max_examples=1000, deadline=None)

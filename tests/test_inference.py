@@ -1,8 +1,10 @@
 import decimal
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +29,13 @@ from cattab.inference import (
     wald_ci,
     wald_test_proportion,
 )
+from cattab.io import parse_counts_csv
 from cattab.special import chi2_sf
 from cattab.table import ContingencyTable
+
+# A 16x16 table (df 225) with diagonal cells 242574296131211638 and
+# 0-999 elsewhere: X^2 = 5.8e19, whose chi-square tail is 0.0.
+HUGE_DIAGONAL_CSV = Path(__file__).parent / "golden" / "huge_diagonal_16x16.csv"
 
 
 def make_table(counts, **kwargs):
@@ -335,6 +342,30 @@ class TestExpectedFrequencies:
         with pytest.raises(ValueError):
             expected.values[0, 0] = 1.0
 
+    @pytest.mark.parametrize("runner", [independence_test, homogeneity_test])
+    @pytest.mark.parametrize("table", [police_shootings(), life_quality_survey(),
+                                       make_table([[0, 3, 1], [4, 0, 2]])],
+                             ids=["2x2", "5x5", "zero-cells"])
+    def test_test_results_build_values_on_first_read(self, runner, table):
+        hypothesis = runner.__name__.removesuffix("_test")
+        _, _, expected = runner(table)
+        assert "values" not in vars(expected)
+        values = expected.values
+        assert values.tobytes() == expected_frequencies(table, hypothesis).values.tobytes()
+        assert values.dtype == float and values.shape == table.shape
+        assert not values.flags.writeable
+        assert expected.values is values
+        assert vars(expected).keys() == {"values", "hypothesis"}
+
+    def test_unread_values_compare_hash_and_pickle_as_built_ones(self):
+        table = life_quality_survey()
+        eager = expected_frequencies(table)
+        for copy in (lambda e: e, lambda e: pickle.loads(pickle.dumps(e))):
+            _, _, expected = independence_test(table)
+            assert copy(expected) == eager
+            _, _, expected = independence_test(table)
+            assert hash(copy(expected)) == hash(eager)
+
     def test_margin_products_beyond_int64(self):
         # row_total * col_total = 1e20 wraps in int64 arithmetic.
         big = 5 * 10**9
@@ -416,6 +447,24 @@ class TestIndependenceTest:
         table = ContingencyTable([[1, 0, 0], [1, 0, 2]], ("a", "b"), ("x", "y", "z"))
         with pytest.raises(ValueError, match="column 'y' has zero total"):
             runner(table)
+
+    def test_statistic_near_int64_has_p_value_zero(self):
+        # df 225 takes the incomplete gamma function, whose continued
+        # fraction at x = 2.9e19 never met its stop and raised RuntimeError.
+        table = parse_counts_csv(HUGE_DIAGONAL_CSV)
+        for runner in (independence_test, homogeneity_test):
+            pearson, deviance, _ = runner(table)
+            assert pearson.df == 225
+            assert pearson.statistic > 5e19 and deviance.statistic > 2e19
+            assert pearson.p_value == deviance.p_value == 0.0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_huge_diagonal_tables_have_p_value_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 1000, (16, 16))
+        np.fill_diagonal(counts, 242574296131211638)
+        pearson, deviance, _ = independence_test(make_table(counts))
+        assert pearson.p_value == deviance.p_value == 0.0
 
     def test_zero_iff_rank_one(self):
         table = make_table([[5, 1], [1, 5]])
@@ -627,3 +676,18 @@ class TestLargeTableKernel:
             tracemalloc.stop()
         assert peak <= 2.25 * table.counts.nbytes, \
             f"peak {peak / table.counts.nbytes:.2f}x counts.nbytes"
+
+    def test_result_holds_no_table_sized_array(self):
+        # The work buffer and the expected frequencies are freed on return;
+        # the returned frequencies keep the table's margins until read.
+        table = make_table(seeded_counts(250, False, 0))
+        independence_test(table)  # first call pays any one-time set-up
+        tracemalloc.start()
+        try:
+            result = independence_test(table)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 0.1 * table.counts.nbytes, \
+            f"{current / table.counts.nbytes:.3f}x counts.nbytes held"
+        assert "values" not in vars(result[2])

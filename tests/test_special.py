@@ -185,6 +185,28 @@ class TestRegularizedGamma:
                 assert 0.0 < q < 1.0
                 assert p + q == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("a", [1.25, 100.5, 1740.5, 31000.5])
+    def test_fraction_far_above_the_shape_returns(self, a):
+        # Shapes of df 2.5, 201, 3481 and 62001. At x >~ 2e17 the fraction's
+        # factors stuck at 1 - 2**-53 and it never met its stop; there the
+        # prefactor x^a e^-x / Gamma(a) is exp(-x) to many digits, and Q
+        # is 0.0 exactly.
+        for k in range(200):
+            x = 10.0 ** (15.0 + 293.0 * k / 199)
+            assert reg_gamma_upper(a, x) == 0.0
+            assert reg_gamma_lower(a, x) == 1.0
+
+    @pytest.mark.parametrize("a", [0.5, 1.25, 7.0, 100.5, 1740.5])
+    def test_fraction_falls_to_zero_only_below_the_normal_range(self, a):
+        # From x = a + 1 in 1% steps, Q falls strictly and reaches 0.0 only
+        # after the subnormals, so the early 0.0 cuts off no normal value.
+        x, last = a + 1.0, 1.0
+        while (q := _gamma_cf(a, x)) > 0.0:
+            assert q < last
+            x, last = 1.01 * x, q
+        assert last < 2.2250738585072014e-308
+        assert _gamma_cf(a, 2.0 * x) == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             reg_gamma_upper(0.0, 1.0)

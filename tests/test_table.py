@@ -110,6 +110,21 @@ class TestContingencyTable:
         assert rebuilt.col_totals.tolist() == [4, 6]
         assert rebuilt.total() == 10
 
+    @pytest.mark.parametrize("counts", [
+        [[98, 2892], [155, 2552]],
+        # Counts past 2**53, which the cast rounds.
+        [[10**18, 3], [2**53 + 1, 2 * 10**18 - 1]],
+    ])
+    def test_float_counts_are_a_read_only_c_copy(self, counts):
+        for arr in (np.array(counts), np.asfortranarray(counts), np.array(counts)[::-1, ::-1]):
+            table = ContingencyTable(arr, ("a", "b"), ("x", "y"))
+            float_counts = table._float_counts
+            assert float_counts.dtype == np.float64
+            assert float_counts.flags.c_contiguous and not float_counts.flags.writeable
+            assert float_counts.tobytes() == table.counts.astype(float).tobytes()
+            assert np.array_equal(float_counts, table.counts)
+            assert "_float_counts" not in repr(table)
+
     def test_margins_do_not_follow_the_callers_array(self):
         counts = np.array([[1, 2], [3, 4]])
         table = ContingencyTable(counts, ("a", "b"), ("x", "y"))
@@ -484,9 +499,25 @@ def test_counts_layout_does_not_change_any_output(seed):
                                  tuple(f"c{j}" for j in range(n_cols)),
                                  row_ordinal=True, col_ordinal=True)
         assert table.counts.flags.c_contiguous
+        assert table._float_counts.flags.c_contiguous
         outputs[name] = _outputs_as_bytes(table)
     for name, dump in outputs.items():
         assert dump == outputs["C"], name
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_joint_layout_does_not_change_the_estimates(seed):
+    # The joint was copied in the caller's memory order, so the marginals
+    # of a Fortran-ordered joint were summed in another order than those
+    # of the C-ordered joint with the same values.
+    size = (12, 40, 200)[seed % 3]
+    rng = np.random.default_rng([size, seed])
+    joint = rng.dirichlet(np.ones(size * size)).reshape(size, size)
+    c_ordered = ProbabilityEstimates(joint, police_shootings())
+    fortran = ProbabilityEstimates(np.asfortranarray(joint), police_shootings())
+    assert fortran.joint.flags.c_contiguous
+    for name in ("joint", "row_marginal", "col_marginal"):
+        assert getattr(fortran, name).tobytes() == getattr(c_ordered, name).tobytes(), name
 
 
 def _same_instance_dict(direct, twin):
