@@ -176,10 +176,10 @@ def pearson_correlation(
     n = table.total()
     if n < 2:
         raise ValueError("correlation needs at least 2 observations")
-    # The table's float copy of the counts: dot on the int64 counts would
+    # The table's float counts and margins: dot on int64 operands would
     # cast them to a float copy of its own on every call.
-    cross, ss_u, ss_v = _scored_moments(table._float_counts, table.row_totals.astype(float),
-                                        table.col_totals.astype(float), n, u, v)
+    cross, ss_u, ss_v = _scored_moments(table._float_counts, table._float_row_totals.ravel(),
+                                        table._float_col_totals, n, u, v)
     if ss_u <= 0.0:
         raise ValueError("row scores have zero variance over the observed data")
     if ss_v <= 0.0:

@@ -96,9 +96,11 @@ class ConfidenceInterval:
 
 def _expected_matrix(row_totals: np.ndarray, col_totals: np.ndarray, n: int) -> np.ndarray:
     """The writable float matrix row_total * col_total / n: the one
-    expression for the expected frequencies."""
-    # In floats: an int64 product of two margins can wrap once n > 3e9.
-    mu = row_totals.astype(float)[:, None] * col_totals.astype(float)
+    expression for the expected frequencies. The margins are a table's
+    float64 margins, the rows as an (I, 1) column, cast once when the
+    table was built; in floats, since an int64 product of two margins can
+    wrap once n > 3e9."""
+    mu = row_totals * col_totals
     mu /= n
     return mu
 
@@ -110,9 +112,9 @@ class ExpectedFrequencies(_ContentEq):
 
     ``values`` is a read-only float matrix. The frequencies that
     :func:`independence_test` and :func:`homogeneity_test` return keep
-    only the table's margins and n, and build ``values`` on first read,
-    with the expression :func:`expected_frequencies` uses; a test whose
-    caller reads only the statistics holds no table-sized matrix."""
+    only the table's float64 margins and n, and build ``values`` on first
+    read, with the expression :func:`expected_frequencies` uses; a test
+    whose caller reads only the statistics holds no table-sized matrix."""
 
     values: np.ndarray
     hypothesis: str  # "independence" | "homogeneity"
@@ -134,7 +136,8 @@ class ExpectedFrequencies(_ContentEq):
     def _deferred(cls, table: ContingencyTable, hypothesis: str) -> ExpectedFrequencies:
         """Frequencies of ``table`` whose ``values`` are built on first read."""
         return _record(cls, hypothesis=hypothesis,
-                       _margins=(table._row_totals, table._col_totals, table._total))
+                       _margins=(table._float_row_totals, table._float_col_totals,
+                                 table._total))
 
     def __getattr__(self, name: str):
         # Reached only when ``name`` is not in the instance dict: once
@@ -287,13 +290,12 @@ def wald_ci(
 
 def _require_positive_margins(table: ContingencyTable) -> float:
     """Raise ``ValueError`` when a row or column total is zero; otherwise
-    return the smallest expected frequency, r_min * c_min / n. Each
-    expected frequency is fl(fl(r_i c_j) / n), and correctly rounded
-    products and quotients are monotone, so this equals the minimum over
-    the expected-frequency matrix bit for bit."""
-    # Python's min over a list: ndarray.min costs more on a few margins.
-    r_min = min(table.row_totals.tolist())
-    c_min = min(table.col_totals.tolist())
+    return the smallest expected frequency, r_min * c_min / n, from the
+    smallest margins the table keeps. Each expected frequency is
+    fl(fl(r_i c_j) / n), and correctly rounded products and quotients are
+    monotone, so this equals the minimum over the expected-frequency
+    matrix bit for bit."""
+    r_min, c_min = table._min_row_total, table._min_col_total
     if not r_min:
         lab = table.row_labels[int(table.row_totals.argmin())]
         raise ValueError(f"row {lab!r} has zero total; expected frequencies undefined")
@@ -311,7 +313,7 @@ def expected_frequencies(
     only the interpretation of the fit differs."""
     if hypothesis not in ("independence", "homogeneity"):
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
-    mu = _expected_matrix(table.row_totals, table.col_totals, table.total())
+    mu = _expected_matrix(table._float_row_totals, table._float_col_totals, table.total())
     return ExpectedFrequencies._adopt(mu, hypothesis)
 
 
@@ -333,7 +335,7 @@ def _chisq_pair(
     ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms,
     summed in the same order, a zero cell's term an exact zero.
     """
-    mu = _expected_matrix(table.row_totals, table.col_totals, table.total())
+    mu = _expected_matrix(table._float_row_totals, table._float_col_totals, table.total())
     obs = table._float_counts
     df = (table.n_rows - 1) * (table.n_cols - 1)
     warn = min_expected < SMALL_CELL_THRESHOLD

@@ -17,7 +17,13 @@ df go through the incomplete gamma function.
 
 All functions are pure, raise ``ValueError`` outside their domain (NaN
 and infinite arguments included, except x = +inf, where the tails are
-0 and 1), and never return NaN.
+0 and 1), and never return NaN. An argument may be a float or an int.
+An int is taken as the float nearest it; one beyond the float range,
+such as 10**400, as the infinity of its sign. A function returns there
+the value it defines at that infinity, which is also the correctly
+rounded value at the int (``ln_gamma`` gives inf, ``chi2_sf(1, 10**400)``
+gives 0), and raises ``ValueError`` where it defines none (a df or a
+shape of 10**400, ``normal_cdf(10**400)``).
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ _TEMME_MAX_MU = 0.25
 _FINITE_SUM_MAX_DF = 2.0 * _TEMME_MIN_A
 # exp() of anything below this is 0.0.
 _LOG_UNDERFLOW = -746.0
+# Above this shape, outside Temme's range, the smaller tail is below
+# exp(-a (1/4 - ln(5/4))) = exp(-0.0269 a), which is 0.0 in floats from
+# a = 3e4 on; the series and the fraction give that exact 0 and 1 up to
+# here, and beyond it lgamma(a) and a ln(x) overflow.
+_HUGE_SHAPE = 1e300
 # The continued fraction stops once a factor lies within this bound of
 # 1, a few ulps. A bound of 1e-16 admits 1.0 alone, since 1 - 2**-53, the
 # float below it, is 1.11e-16 away; factors that settle there never stop.
@@ -90,25 +101,48 @@ _TEMME_C = (
 )
 
 
+def _float(x: float) -> float:
+    """An argument as a float, an int beyond the float range as the
+    infinity of its sign (see the module docstring)."""
+    try:
+        return x * 1.0
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function, for x > 0."""
+    """Natural log of the gamma function, for x > 0; inf from about
+    x = 2.55e305 on, where the value exceeds the float range."""
+    x = _float(x)
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def xlogy(y: float, p: float) -> float:
-    """y * ln(p) with the limit convention 0 * ln(0) == 0."""
+    """y * ln(p) for p >= 0, with the limit convention 0 * ln(0) == 0;
+    undefined for a NaN y and for an infinite y at p = 1."""
+    y, p = _float(y), _float(p)
+    if not p >= 0.0:  # NaN too
+        raise ValueError(f"xlogy requires p >= 0, got {p}")
     if y == 0.0:
         return 0.0
-    if p == 0.0:
-        return -math.inf
-    return y * math.log(p)
+    out = y * (math.log(p) if p else -math.inf)
+    if out != out:
+        raise ValueError(f"xlogy({y}, {p}) is undefined")
+    return out
 
 
 def _gamma_series(a: float, x: float) -> float:
     # Lower regularized gamma P(a, x) by power series; good for x < a + 1.
     term = 1.0 / a
+    if term == math.inf:
+        # a < 2**-1024: P = x^a e^-x / Gamma(a + 1) sum_n x^n / ((a+1)...(a+n))
+        # is 1 - O(a ln x) at every x > 0, which rounds to 1.
+        return 1.0
     total = term
     denom = a
     for _ in range(_MAX_ITER):
@@ -188,6 +222,7 @@ def _reg_gamma(a: float, x: float) -> tuple[float, float]:
     """(P(a, x), Q(a, x)), not yet clipped to [0, 1]: Temme's expansion
     near a large shape, else the power series below x = a + 1 and the
     continued fraction above it, each tail the other's complement."""
+    a, x = _float(a), _float(x)
     _check_gamma_args(a, x)
     if x == 0.0:
         return 0.0, 1.0
@@ -196,6 +231,8 @@ def _reg_gamma(a: float, x: float) -> tuple[float, float]:
     temme = _gamma_temme(a, x)
     if temme is not None:
         return temme
+    if a > _HUGE_SHAPE:
+        return (0.0, 1.0) if x < a else (1.0, 0.0)
     if x < a + 1.0:
         series = _gamma_series(a, x)
         return series, 1.0 - series
@@ -232,6 +269,10 @@ def chi2_sf(df: float, x: float) -> float:
     Temme's expansion for df >= 200 with x within 25% of df. Q is 0 at
     x = +inf.
     """
+    try:  # _float inline: a table test calls this once per statistic
+        df, x = df * 1.0, x * 1.0
+    except OverflowError:
+        df, x = _float(df), _float(x)
     if not 0.0 < df < math.inf:  # NaN too
         raise ValueError(f"chi2_sf requires finite df > 0, got {df}")
     if not x >= 0.0:  # NaN too
@@ -283,6 +324,7 @@ def normal_cdf(z: float) -> float:
     ``chi2_sf(1, .)``, which makes ``chi2_sf(1, z*z) == 2 * normal_cdf(-abs(z))``
     hold by construction.
     """
+    z = _float(z)
     if math.isnan(z) or math.isinf(z):
         raise ValueError(f"normal_cdf requires finite z, got {z}")
     tail = 0.5 * _chi2_sf_1df(z * z)

@@ -8,6 +8,7 @@ the usual maximum-likelihood ones (cell count over the relevant total).
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Literal, Mapping, Sequence
@@ -65,13 +66,33 @@ def _record(cls, **values):
     return record
 
 
+def _is_integer_cell(x) -> bool:
+    """Whether one cell of an object array holds an integer: an int, or a
+    float that passes a float array's test ``x == floor(x)`` (which lets
+    an infinity through to the int64 bound check, and not NaN)."""
+    return isinstance(x, numbers.Integral) or (
+        isinstance(x, (float, np.floating)) and bool(np.floor(x) == x))
+
+
 def _frozen_int_matrix(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError(f"counts must be a 2-D matrix, got shape {arr.shape}")
     if arr.size and not np.can_cast(arr.dtype, np.int64):
-        if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
-            raise ValueError("counts must be integers")
+        kind = arr.dtype.kind
+        if kind != "u":  # a uint64 array holds integers only
+            if kind == "f":
+                integer = arr == np.floor(arr)
+            else:
+                # Judged cell by cell, each as the Python object given: of
+                # a list that mixes ints and strings numpy makes a string
+                # array, in which an int would be the first bad cell.
+                arr = np.asarray(values, dtype=object)
+                integer = np.frompyfunc(_is_integer_cell, 1, 1)(arr).astype(bool)
+            if not integer.all():
+                i, j = map(int, np.argwhere(~integer)[0])
+                raise ValueError(f"counts must be integers, got {arr.item(i, j)!r} "
+                                 f"at cell ({i}, {j})")
         # Checked before the cast, which would wrap (uint64), saturate
         # (float) or overflow (Python ints) a value outside int64. The
         # bounds are exact powers of two, so float comparisons are exact.
@@ -135,12 +156,15 @@ class ContingencyTable(_ContentEq):
         n = int(row_totals.sum())
         if n < 1:
             raise ValueError("table total must be at least 1")
-        row_totals.setflags(write=False)
-        col_totals.setflags(write=False)
-        # The counts as float64, cast once here (C order, as ``counts``):
-        # every statistic reads this copy instead of casting its own.
+        # The counts and margins as float64, cast once here (C order, as
+        # ``counts``), and the smallest margins: every statistic reads
+        # these instead of casting or scanning its own. The row totals
+        # are a column, (I, 1), as every matrix expression takes them.
         float_counts = counts.astype(float)
-        float_counts.setflags(write=False)
+        float_rows = row_totals.astype(float)
+        float_cols = col_totals.astype(float)
+        for arr in (row_totals, col_totals, float_counts, float_rows, float_cols):
+            arr.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "row_labels",
                            _unique_labels(self.row_labels, n_rows, "row"))
@@ -151,6 +175,11 @@ class ContingencyTable(_ContentEq):
         object.__setattr__(self, "_float_counts", float_counts)
         object.__setattr__(self, "_row_totals", row_totals)
         object.__setattr__(self, "_col_totals", col_totals)
+        object.__setattr__(self, "_float_row_totals", float_rows[:, None])
+        object.__setattr__(self, "_float_col_totals", float_cols)
+        # Python's min over a list: ndarray.min costs more on a few margins.
+        object.__setattr__(self, "_min_row_total", min(row_totals.tolist()))
+        object.__setattr__(self, "_min_col_total", min(col_totals.tolist()))
         object.__setattr__(self, "_total", n)
 
     @property
@@ -313,20 +342,19 @@ def conditional_probabilities(
     column summing to 1. Conditioning on an empty category is an error.
     """
     if given == "rows":
-        margins = table.row_totals
-        if not margins.all():
-            lab = table.row_labels[int(np.argmin(margins))]
+        if not table._min_row_total:
+            lab = table.row_labels[int(np.argmin(table.row_totals))]
             raise ValueError(f"cannot condition on empty row {lab!r}")
-        margins = margins[:, None]
+        margins = table._float_row_totals
     elif given == "cols":
-        margins = table.col_totals
-        if not margins.all():
-            lab = table.col_labels[int(np.argmin(margins))]
+        if not table._min_col_total:
+            lab = table.col_labels[int(np.argmin(table.col_totals))]
             raise ValueError(f"cannot condition on empty column {lab!r}")
+        margins = table._float_col_totals
     else:
         raise ValueError(f"given must be 'rows' or 'cols', got {given!r}")
-    # Float operands only: an int64 operand of the division would be
-    # cast through a buffer of its own.
-    out = np.divide(table._float_counts, margins.astype(float))
+    # The table's float counts and margins: an int64 operand of the
+    # division would be cast through a buffer of its own.
+    out = np.divide(table._float_counts, margins)
     out.setflags(write=False)
     return out

@@ -1,13 +1,15 @@
-"""Library contract fuzz for the three input rules and the per-table
-statistics.
+"""Library contract fuzz for the three input rules, the table
+constructor, the special functions and the per-table statistics.
 
-Every callable that takes a count, a probability vector or a score is
-called with arguments drawn from a few valid values and from the edges
-below; every per-table statistic is called on tables with an empty row
-or column, a single nonzero cell or a total near the int64 maximum, whose
-counts arrive read-only, Fortran-ordered or as a strided view. Each call
-must return its documented type, with no NaN where a number is returned,
-or raise ``ValueError``, and must warn nothing.
+Every callable that takes a count, a probability vector, a score or a
+special function's argument is called with arguments drawn from a few
+valid values and from the edges below; ``ContingencyTable`` is called on
+matrices whose cells mix those edges with strings, None, complex numbers
+and bools; every per-table statistic is called on tables with an empty
+row or column, a single nonzero cell or a total near the int64 maximum,
+whose counts arrive read-only, Fortran-ordered or as a strided view. Each
+call must return its documented type, with no NaN where a number is
+returned, or raise ``ValueError``, and must warn nothing.
 """
 
 import math
@@ -49,6 +51,7 @@ from cattab import (
     wald_ci,
     wald_test_proportion,
 )
+from cattab import special
 from cattab.association import OddsRatioResult
 from cattab.distributions import _INT64_MAX
 from cattab.fixtures import life_quality_survey, police_shootings
@@ -80,6 +83,7 @@ _MATRIX = st.one_of(
     st.lists(st.lists(_arg(0.25, 0.5, 1.0), min_size=2, max_size=2).map(tuple),
              min_size=2, max_size=2).map(tuple))
 _SCORE = _arg(1, 2, 3, -1, 0.5)
+_REAL = _arg(0.5, 1, 2.5, 3, 16, 200, 300.5)
 
 
 def _scores(length):
@@ -151,6 +155,28 @@ def _count_table(draw):
                             row_ordinal=ordinal, col_ordinal=ordinal)
 
 
+# Cells of a counts matrix: valid counts, the edges, and what no count is.
+_CELL = st.one_of(st.sampled_from([0, 1, 7, 2.0]), st.sampled_from(_EDGES),
+                  st.sampled_from(["3", "a", None, 1 + 0j, 2j, True, b"1"]))
+
+
+@st.composite
+def _counts_matrix(draw):
+    """A nested list of cells, of 1 to 3 rows and columns (one row or
+    column is too few), as a list or as the array numpy makes of it."""
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.lists(_CELL, min_size=n_cols, max_size=n_cols),
+                          min_size=n_rows, max_size=n_rows))
+    return (np.asarray(cells) if draw(st.booleans()) else cells,
+            tuple(f"r{k}" for k in range(n_rows)), tuple(f"c{k}" for k in range(n_cols)))
+
+
+def _valid_table(t):
+    return (isinstance(t, ContingencyTable) and t.counts.dtype == np.int64
+            and t.counts.flags.c_contiguous and not t.counts.flags.writeable
+            and 1 <= t.total() <= _INT64_MAX and int(t.counts.min()) >= 0)
+
+
 @st.composite
 def _two_indices(draw, limit):
     first = draw(st.integers(0, limit - 1))
@@ -201,6 +227,8 @@ def _estimates(e):
 
 def _pmf(p):
     return _number(p) and 0.0 <= p <= 1.0
+
+
 
 
 def _log_pmf(lp):
@@ -270,6 +298,15 @@ _CALLS = {
     "conditional_probabilities": (
         st.tuples(_count_table(), st.sampled_from(["rows", "cols", "x"])),
         conditional_probabilities, _finite_array),
+    "ContingencyTable": (_counts_matrix(), ContingencyTable, _valid_table),
+    "ln_gamma": (st.tuples(_REAL), special.ln_gamma, lambda v: _number(v) and v > -1.0),
+    "xlogy": (st.tuples(_REAL, _REAL), special.xlogy, _number),
+    "reg_gamma_lower": (st.tuples(_REAL, _REAL), special.reg_gamma_lower, _pmf),
+    "reg_gamma_upper": (st.tuples(_REAL, _REAL), special.reg_gamma_upper, _pmf),
+    "chi2_sf": (st.tuples(_REAL, _REAL), special.chi2_sf, _pmf),
+    "normal_cdf": (st.tuples(_REAL), special.normal_cdf, _pmf),
+    "normal_sf": (st.tuples(_REAL), special.normal_sf, _pmf),
+    "normal_quantile": (st.tuples(_arg(0.5, 0.025, 0.999)), special.normal_quantile, _number),
 }
 
 
@@ -299,6 +336,22 @@ def _call(draw):
 # X^2 = 5.8e19 at df 225: the incomplete gamma fraction never met its
 # stop and raised RuntimeError.
 @example(case=("independence_test", (parse_counts_csv(_HUGE_DIAGONAL_CSV),)))
+# TypeError from numpy's floor, and "must be real number".
+@example(case=("ContingencyTable", ([["1", "2"], ["3", "4"]], ("a", "b"), ("x", "y"))))
+@example(case=("ContingencyTable", ([[1 + 0j, 2], [3, 4]], ("a", "b"), ("x", "y"))))
+@example(case=("ContingencyTable", ([[None, 2], [3, 4]], ("a", "b"), ("x", "y"))))
+# OverflowError; RuntimeError from the series at a subnormal and at a
+# huge shape.
+@example(case=("ln_gamma", (1e308,)))
+@example(case=("ln_gamma", (10**400,)))
+@example(case=("chi2_sf", (10**400, 1)))
+@example(case=("chi2_sf", (3, 10**400)))
+@example(case=("normal_sf", (10**400,)))
+@example(case=("reg_gamma_upper", (1e-310, 0.3)))
+@example(case=("reg_gamma_lower", (1e308, 2.5)))
+@example(case=("chi2_sf", (1e308, 3)))
+# NaN.
+@example(case=("xlogy", (math.inf, 1)))
 # ss_u * ss_v underflowed to 0: ZeroDivisionError.
 @example(case=("pearson_correlation", (_TABLES[1], ((5e-324, 2e-122), (5e-324, 2e-122)))))
 @settings(max_examples=1000, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -129,10 +130,18 @@ class TestLnGamma:
                 fact *= k
             assert math.exp(ln_gamma(k + 1.0)) == pytest.approx(fact, rel=1e-12)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, -(10**400)])
     def test_domain_error(self, x):
         with pytest.raises(ValueError):
             ln_gamma(x)
+
+    @pytest.mark.parametrize("x", [2.6e305, 1e308, sys.float_info.max, math.inf, 10**400])
+    def test_inf_beyond_the_float_range(self, x):
+        # math.lgamma raised OverflowError at 1e308 and at 10**400.
+        assert ln_gamma(x) == math.inf
+
+    def test_finite_below_the_overflow(self):
+        assert ln_gamma(2.5e305) == pytest.approx(2.5e305 * (math.log(2.5e305) - 1), rel=1e-3)
 
 
 class TestRegularizedGamma:
@@ -206,6 +215,35 @@ class TestRegularizedGamma:
             x, last = 1.01 * x, q
         assert last < 2.2250738585072014e-308
         assert _gamma_cf(a, 2.0 * x) == 0.0
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-310, 5.5e-309])
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 0.05, 0.3, 0.5, 0.999])
+    def test_subnormal_shape_below_one(self, a, x):
+        # 1/a, the series' first term, is inf: the series never met its
+        # stop. P = 1 - O(a ln x) rounds to 1.
+        assert reg_gamma_lower(a, x) == 1.0
+        assert reg_gamma_upper(a, x) == 0.0
+
+    def test_subnormal_shape_from_one_keeps_the_fraction(self):
+        # x >= a + 1 = 1: the fraction, unchanged, gives Q = a E1(x).
+        assert reg_gamma_upper(5.5e-309, 1.0) == pytest.approx(5.5e-309 * 0.21938393439552,
+                                                               rel=1e-6)
+
+    @pytest.mark.parametrize("a", [2e300, 2.6e305, 1e307, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("ratio", [0.0, 1e-300, 0.5, 0.7499, 1.2501, 1.5])
+    def test_huge_shape_outside_the_expansion(self, a, ratio):
+        # lgamma(a) and a ln(x) overflowed, and the series' stop underflowed
+        # to 0: RuntimeError. Here the smaller tail is below exp(-0.0269 a).
+        x = 5e-324 if ratio == 1e-300 else a * ratio
+        if x == math.inf:
+            return
+        below = x < a
+        assert reg_gamma_lower(a, x) == (0.0 if below else 1.0)
+        assert reg_gamma_upper(a, x) == (1.0 if below else 0.0)
+
+    def test_huge_shape_at_its_mean(self):
+        assert reg_gamma_lower(1e308, 1e308) == 0.5
+        assert reg_gamma_upper(1e308, 1e308) == 0.5
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -305,11 +343,41 @@ _NON_FINITE_CASES = [
     *[(f, (a, 1.0), ValueError)
       for f in (reg_gamma_upper, reg_gamma_lower) for a in (math.inf, math.nan)],
     *[(normal_cdf, (z,), ValueError) for z in (math.inf, -math.inf, math.nan)],
+    # An int beyond the float range (10**400 raised OverflowError) is the
+    # infinity of its sign: the value there, or ValueError where none is
+    # defined. An int inside the range whose square is not (10**200) is
+    # the float nearest it.
+    (chi2_sf, (1, 10**400), 0.0),
+    (chi2_sf, (16, 10**400), 0.0),
+    (chi2_sf, (300, 10**400), 0.0),
+    (chi2_sf, (2.5, 10**400), 0.0),
+    (chi2_sf, (10**400, 1.0), ValueError),
+    (chi2_sf, (10**400, 10**400), ValueError),
+    (chi2_sf, (1, -(10**400)), ValueError),
+    (reg_gamma_upper, (2.5, 10**400), 0.0),
+    (reg_gamma_lower, (2.5, 10**400), 1.0),
+    (reg_gamma_upper, (10**400, 1.0), ValueError),
+    (normal_cdf, (10**400,), ValueError),
+    (normal_cdf, (-(10**400),), ValueError),
+    (normal_sf, (10**400,), ValueError),
+    (normal_cdf, (10**200,), 1.0),
+    (normal_cdf, (-(10**200),), 0.0),
+    (normal_sf, (10**200,), 0.0),
+    (xlogy, (10**400, 0.5), -math.inf),
+    (xlogy, (10**400, 2), math.inf),
+    (xlogy, (3, 10**400), math.inf),
 ]
 
 
+def _case_id(func, args):
+    """The call as written, with an int of more than 20 digits as a power of 10."""
+    return func.__name__ + "(" + ", ".join(
+        f"{'-' * (v < 0)}10**{len(str(abs(v))) - 1}" if isinstance(v, int) and abs(v) > 10**20
+        else repr(v) for v in args) + ("," * (len(args) == 1)) + ")"
+
+
 @pytest.mark.parametrize("func, args, expected", _NON_FINITE_CASES,
-                         ids=[f"{f.__name__}{args}" for f, args, _ in _NON_FINITE_CASES])
+                         ids=[_case_id(f, args) for f, args, _ in _NON_FINITE_CASES])
 def test_non_finite_arguments(func, args, expected):
     if expected is ValueError:
         with pytest.raises(ValueError):
@@ -385,3 +453,19 @@ class TestXlogy:
 
     def test_impossible_outcome(self):
         assert xlogy(2.0, 0.0) == -math.inf
+
+    def test_negative_weight_of_an_impossible_outcome(self):
+        assert xlogy(-2.0, 0.0) == math.inf
+
+    @pytest.mark.parametrize("y, p", [(math.nan, 0.5), (math.nan, 0.0), (1.0, math.nan),
+                                      (0.0, math.nan), (1.0, -0.5), (0.0, -1.0),
+                                      (math.inf, 1.0), (-math.inf, 1.0)])
+    def test_undefined_products(self, y, p):
+        # Each returned NaN, or 0.0 at y = 0 whatever p.
+        with pytest.raises(ValueError):
+            xlogy(y, p)
+
+    def test_infinite_weight(self):
+        assert xlogy(math.inf, 0.5) == -math.inf
+        assert xlogy(math.inf, 0.0) == -math.inf
+        assert xlogy(math.inf, 2.0) == math.inf

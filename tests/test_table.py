@@ -125,6 +125,57 @@ class TestContingencyTable:
             assert np.array_equal(float_counts, table.counts)
             assert "_float_counts" not in repr(table)
 
+    @pytest.mark.parametrize("counts", [
+        [[98, 2892], [155, 2552]],
+        [[0, 3, 1], [0, 5, 2]],  # an empty column
+        # Margins past 2**53, which the cast rounds.
+        [[10**18, 3], [2**53 + 1, 2 * 10**18 - 1]],
+    ])
+    def test_float_margins_and_smallest_margins(self, counts):
+        table = ContingencyTable(counts, ("a", "b"), tuple("xyz"[:len(counts[0])]))
+        rows, cols = table._float_row_totals, table._float_col_totals
+        assert rows.shape == (table.n_rows, 1) and cols.shape == (table.n_cols,)
+        for floats, ints in ((rows.ravel(), table.row_totals), (cols, table.col_totals)):
+            assert floats.dtype == np.float64 and not floats.flags.writeable
+            assert floats.tobytes() == ints.astype(float).tobytes()
+        with pytest.raises(ValueError):
+            rows[0, 0] = 7.0
+        assert table._min_row_total == min(table.row_totals.tolist())
+        assert table._min_col_total == min(table.col_totals.tolist())
+        assert type(table._min_row_total) is int and type(table._min_col_total) is int
+        # Kept beside the counts, not as fields: out of the constructor,
+        # repr, equality and hash.
+        names = ("_float_row_totals", "_float_col_totals", "_min_row_total", "_min_col_total")
+        assert not set(names) & {f.name for f in dataclasses.fields(table)}
+        assert not any(name in repr(table) for name in names)
+        twin = ContingencyTable(np.array(counts), ("a", "b"), table.col_labels)
+        object.__setattr__(twin, "_min_row_total", -1)
+        object.__setattr__(twin, "_float_col_totals", cols + 1.0)
+        assert twin == table and hash(twin) == hash(table)
+
+    @pytest.mark.parametrize("counts, cell, value", [
+        ([["1", "2"], ["3", "4"]], (0, 0), "'1'"),
+        ([[1, "a"], [2, 3]], (0, 1), "'a'"),  # the ints stay ints
+        ([[1 + 0j, 2], [3, 4]], (0, 0), r"\(1\+0j\)"),
+        ([[None, 2], [3, 4]], (0, 0), "None"),
+        ([[1, 2], [None, 10**20]], (1, 0), "None"),
+        ([[1, 2], [3, 2.5]], (1, 1), "2.5"),
+        ([[1, 10**20], [float("nan"), 4]], (1, 0), "nan"),
+        (np.array([[1, 2], [3, 4]], dtype="datetime64[s]"), (0, 0), "datetime"),
+    ])
+    def test_rejects_non_integer_counts_naming_the_cell(self, counts, cell, value):
+        with pytest.raises(ValueError, match=rf"counts must be integers, got {value}.* "
+                                             rf"at cell \({cell[0]}, {cell[1]}\)"):
+            ContingencyTable(counts, ("a", "b"), ("x", "y"))
+
+    @pytest.mark.parametrize("counts, message", [
+        ([[1, 2.0], [-(10**20), 1]], r"at cell \(1, 0\) is below the int64 minimum"),
+        ([[1, float("inf")], [10**20, 1]], r"count inf at cell \(0, 1\) exceeds"),
+    ])
+    def test_object_counts_go_through_the_int64_bounds(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ContingencyTable(counts, ("a", "b"), ("x", "y"))
+
     def test_margins_do_not_follow_the_callers_array(self):
         counts = np.array([[1, 2], [3, 4]])
         table = ContingencyTable(counts, ("a", "b"), ("x", "y"))
@@ -157,6 +208,7 @@ class TestContingencyTable:
         [[1e19, 1], [1, 1]],
         np.array([[2**63, 1], [1, 1]], dtype=np.uint64),
         [[10**20, 1], [1, 1]],
+        [[10**20, 1.0], [1, 1]],  # an object array of an int and a float
     ])
     def test_rejects_count_above_int64(self, counts):
         with pytest.raises(ValueError,
@@ -170,6 +222,7 @@ class TestContingencyTable:
     @pytest.mark.parametrize("counts, total", [
         (np.array([[3, 1], [1, 1]], dtype=np.uint64), 6),
         ([[float(2**63 - 1024), 0], [0, 0]], 2**63 - 1024),  # largest float below 2**63
+        (np.array([[2**63 - 5, 1.0], [True, 2]], dtype=object), 2**63 - 1),
     ])
     def test_accepts_in_range_unsigned_and_float_counts(self, counts, total):
         table = ContingencyTable(counts, ("a", "b"), ("x", "y"))
