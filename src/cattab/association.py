@@ -1,9 +1,15 @@
 """Association measures for two-way tables: odds, odds ratios, and the
-score-weighted Pearson correlation (phi coefficient on 2x2 tables)."""
+score-weighted Pearson correlation (phi coefficient on 2x2 tables).
+
+A row or column index that is out of range for the table, or is not an
+integer (``operator.index`` refuses it: 0.5, 1.0, a string), raises
+``IndexError``; every other bad argument raises ``ValueError``.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +82,15 @@ def default_scores(table: ContingencyTable) -> ScoreAssignment:
     return ScoreAssignment(*_integer_scores(*table.shape))
 
 
-def _check_index(i: int, limit: int, axis: str) -> None:
+def _check_index(i: int, limit: int, axis: str) -> int:
+    """The index rule: ``i`` as an int in 0..limit - 1."""
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise IndexError(f"{axis} index must be an integer, got {i!r}") from None
     if not 0 <= i < limit:
         raise IndexError(f"{axis} index {i} out of range for {limit} {axis}s")
+    return i
 
 
 def odds(table: ContingencyTable, target_row: int, other_row: int,
@@ -89,9 +101,9 @@ def odds(table: ContingencyTable, target_row: int, other_row: int,
     Returns +inf when only the denominator cell is empty; two empty
     cells leave the odds undefined and raise.
     """
-    _check_index(target_row, table.n_rows, "row")
-    _check_index(other_row, table.n_rows, "row")
-    _check_index(given_col, table.n_cols, "column")
+    target_row = _check_index(target_row, table.n_rows, "row")
+    other_row = _check_index(other_row, table.n_rows, "row")
+    given_col = _check_index(given_col, table.n_cols, "column")
     if target_row == other_row:
         raise ValueError("target and comparison rows must differ")
     num = int(table.counts[target_row, given_col])
@@ -119,12 +131,10 @@ def odds_ratio(
     denominator product yields +inf rather than an error. All four cells
     zero is always an error.
     """
-    i, i2 = rows
-    j, j2 = cols
-    for r in (i, i2):
-        _check_index(r, table.n_rows, "row")
-    for c in (j, j2):
-        _check_index(c, table.n_cols, "column")
+    (i, i2), (j, j2) = rows, cols
+    n_rows, n_cols = table.shape
+    i, i2 = _check_index(i, n_rows, "row"), _check_index(i2, n_rows, "row")
+    j, j2 = _check_index(j, n_cols, "column"), _check_index(j2, n_cols, "column")
     if i == i2 or j == j2:
         raise ValueError("odds ratio needs two distinct rows and two distinct columns")
     item = table.counts.item  # Python ints, without a numpy scalar per cell

@@ -68,15 +68,26 @@ def _count(value, what: str) -> int:
     return _as_integer(value, what)
 
 
-def _probabilities(values, what: str, axis: int | None = None) -> np.ndarray:
-    """The probability rule, as a C-ordered float copy: finite, in [0, 1],
-    summing to 1 along ``axis``."""
+def _float_array(values, what: str) -> np.ndarray:
+    """The array rule: a read-only float64 copy of ``values`` in C order,
+    whatever the caller's layout. A sum runs in memory order, so one
+    layout gives one result; the copy leaves the caller's array writable
+    and unable to change what is stored."""
+    message = f"{what} must be an array of real numbers in the float range"
+    if getattr(getattr(values, "dtype", None), "kind", "") == "c":  # a cast drops imaginary parts
+        raise ValueError(message)
     try:
-        # C order whatever the caller's layout, as a table's counts: a sum
-        # runs in memory order, so one layout gives one result.
-        probs = np.array(values, dtype=float, order="C")
-    except OverflowError:  # an int beyond the float range, such as 10**400
-        raise ValueError(f"{what} must be finite and in [0, 1]") from None
+        arr = np.array(values, dtype=float, order="C")
+    except (OverflowError, TypeError, ValueError):  # 10**400, complex, a string, a ragged list
+        raise ValueError(message) from None
+    arr.setflags(write=False)
+    return arr
+
+
+def _probabilities(values, what: str, axis: int | None = None) -> np.ndarray:
+    """The probability rule, on the array rule's copy: finite, in [0, 1],
+    summing to 1 along ``axis``."""
+    probs = _float_array(values, what)
     outside = ~((probs >= 0.0) & (probs <= 1.0))  # NaN too; checked before a sum overflows
     if outside.any():
         raise ValueError(f"{what} must be finite and in [0, 1], got {probs[outside][0].item()!r}")

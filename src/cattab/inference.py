@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import ScoreAssignment, pearson_correlation
-from .distributions import _count
+from .distributions import _count, _float_array
 from .special import chi2_sf, normal_cdf, normal_quantile, xlogy
-from .table import ContingencyTable, _ContentEq, _record
+from .table import ContingencyTable, _check_matrix, _ContentEq, _record
 
 __all__ = [
     "StatisticKind",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 SMALL_CELL_THRESHOLD = 5.0
+_HYPOTHESES = ("independence", "homogeneity")
 
 
 class StatisticKind(str, enum.Enum):
@@ -110,27 +111,24 @@ class ExpectedFrequencies(_ContentEq):
     """Estimated expected cell frequencies row_total * col_total / n,
     under either the independence or the homogeneity hypothesis.
 
-    ``values`` is a read-only float matrix. The frequencies that
-    :func:`independence_test` and :func:`homogeneity_test` return keep
-    only the table's float64 margins and n, and build ``values`` on first
-    read, with the expression :func:`expected_frequencies` uses; a test
-    whose caller reads only the statistics holds no table-sized matrix."""
+    ``values`` is a read-only, C-ordered float matrix. The frequencies
+    that :func:`expected_frequencies`, :func:`independence_test` and
+    :func:`homogeneity_test` return keep only the table's float64 margins
+    and n, and build ``values`` on first read; a test whose caller reads
+    only the statistics holds no table-sized matrix. Built directly, the
+    record takes what those could return: a finite, nonnegative matrix of
+    at least 2 x 2 and one of the two hypotheses."""
 
     values: np.ndarray
     hypothesis: str  # "independence" | "homogeneity"
 
     def __post_init__(self) -> None:
-        # A copy, so that freezing it leaves the caller's array writable.
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
+        if self.hypothesis not in _HYPOTHESES:
+            raise ValueError(f"unknown hypothesis {self.hypothesis!r}")
+        values = _check_matrix(_float_array(self.values, "values"), "values")
+        if not ((values >= 0.0) & (values < math.inf)).all():  # NaN fails both
+            raise ValueError("values must be finite and >= 0")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray, hypothesis: str) -> ExpectedFrequencies:
-        """Frequencies around a float array built for them alone, kept
-        without the copy a caller's array gets."""
-        values.setflags(write=False)
-        return _record(cls, values=values, hypothesis=hypothesis)
 
     @classmethod
     def _deferred(cls, table: ContingencyTable, hypothesis: str) -> ExpectedFrequencies:
@@ -142,7 +140,7 @@ class ExpectedFrequencies(_ContentEq):
     def __getattr__(self, name: str):
         # Reached only when ``name`` is not in the instance dict: once
         # built, ``values`` is read like any other field, and the record's
-        # instance dict is that of one built by ``_adopt``.
+        # instance dict is that of one built by the constructor.
         margins = self.__dict__.get("_margins")
         if name != "values" or margins is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -310,11 +308,11 @@ def expected_frequencies(
 ) -> ExpectedFrequencies:
     """Expected cell frequencies row_total * col_total / n. The same
     numbers serve both the independence and the homogeneity hypothesis;
-    only the interpretation of the fit differs."""
-    if hypothesis not in ("independence", "homogeneity"):
+    only the interpretation of the fit differs. ``values`` is built on
+    first read."""
+    if hypothesis not in _HYPOTHESES:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
-    mu = _expected_matrix(table._float_row_totals, table._float_col_totals, table.total())
-    return ExpectedFrequencies._adopt(mu, hypothesis)
+    return ExpectedFrequencies._deferred(table, hypothesis)
 
 
 def _chisq_pair(

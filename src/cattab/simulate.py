@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import ScoreAssignment, _integer_scores, _scored_moments
-from .distributions import _INT64_MAX, _as_integer, _count, _probabilities
+from .distributions import _INT64_MAX, _as_integer, _count, _float_array, _probabilities
 from .inference import (
     StatisticKind,
     TestResult,
@@ -34,7 +34,7 @@ from .inference import (
     mantel_haenszel_test,
     wald_ci,
 )
-from .table import ContingencyTable, _ContentEq
+from .table import ContingencyTable, _check_matrix, _ContentEq
 
 __all__ = [
     "SchemeKind",
@@ -53,7 +53,9 @@ RNG_ALGORITHM = "numpy-pcg64-sequential"
 
 _NULL_TOL = 1e-9
 # The largest rate numpy's Poisson sampler accepts: int64 max less ten
-# standard deviations, 9.223372006484771e18.
+# standard deviations, 9.223372006484771e18. It bounds the sum of a
+# scheme's rates, the rate of the drawn table's total, so that the total
+# fits a table's int64 counts.
 _POISSON_MAX_RATE = float(_INT64_MAX) - 10.0 * math.sqrt(float(_INT64_MAX))
 _MIN_CALIBRATION_REPLICATES = 1000
 _ALPHAS = (0.10, 0.05, 0.01)
@@ -63,14 +65,6 @@ class SchemeKind(str, enum.Enum):
     POISSON = "poisson"
     BINOMIAL_ROWS_FIXED = "binomial_rows_fixed"
     MULTINOMIAL_TOTAL_FIXED = "multinomial_total_fixed"
-
-
-def _frozen_matrix(arr: np.ndarray, name: str) -> np.ndarray:
-    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-        raise ValueError(f"{name} must be a matrix with >= 2 rows and columns, "
-                         f"got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 class SamplingScheme(_ContentEq, abc.ABC):
@@ -113,23 +107,23 @@ class PoissonScheme(SamplingScheme):
     cell_rates: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            rates = _frozen_matrix(np.array(self.cell_rates, dtype=float), "cell_rates")
-        except OverflowError:  # an int beyond the float range, such as 10**400
-            raise ValueError("cell_rates must be finite") from None
+        rates = _check_matrix(_float_array(self.cell_rates, "cell_rates"), "cell_rates")
         if not np.isfinite(rates).all():
             raise ValueError("cell_rates must be finite")
         if np.any(rates <= 0.0):
             raise ValueError("all Poisson cell rates must be > 0")
-        top = float(rates.max())
-        if top > _POISSON_MAX_RATE:
-            raise ValueError(f"cell_rates must be at most {_POISSON_MAX_RATE!r}, the "
-                             f"largest Poisson rate the sampler draws from; got {top!r}")
+        with np.errstate(over="ignore"):  # a sum beyond the float range is inf, refused
+            total = float(rates.sum())
+        if total > _POISSON_MAX_RATE:
+            raise ValueError(f"cell_rates must be at most {_POISSON_MAX_RATE!r} in total, the "
+                             f"largest Poisson rate the sampler draws from; got {total!r}")
         object.__setattr__(self, "cell_rates", rates)
 
     def cell_probabilities(self) -> np.ndarray:
         """The rates normalized to sum to 1."""
-        return self.cell_rates / self.cell_rates.sum()
+        probs = self.cell_rates / self.cell_rates.sum()
+        probs.setflags(write=False)
+        return probs
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         return rng.poisson(self.cell_rates).astype(np.int64)
@@ -145,7 +139,7 @@ class BinomialRowsScheme(SamplingScheme):
     row_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = _frozen_matrix(_probabilities(self.row_probs, "row_probs", axis=-1), "row_probs")
+        probs = _check_matrix(_probabilities(self.row_probs, "row_probs", axis=-1), "row_probs")
         totals = tuple(_count(t, "row_totals") for t in self.row_totals)
         if len(totals) != probs.shape[0]:
             raise ValueError("row_totals length must match row_probs rows")
@@ -158,7 +152,9 @@ class BinomialRowsScheme(SamplingScheme):
         """Each row's probabilities weighted by its share of the grand
         total."""
         weights = np.asarray(self.row_totals, dtype=float)
-        return self.row_probs * (weights / weights.sum())[:, None]
+        probs = self.row_probs * (weights / weights.sum())[:, None]
+        probs.setflags(write=False)
+        return probs
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         rows = [rng.multinomial(t, p) for t, p in zip(self.row_totals, self.row_probs)]
@@ -174,7 +170,7 @@ class MultinomialScheme(SamplingScheme):
     joint_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        joint = _frozen_matrix(_probabilities(self.joint_probs, "joint_probs"), "joint_probs")
+        joint = _check_matrix(_probabilities(self.joint_probs, "joint_probs"), "joint_probs")
         total = _count(self.total, "total")
         if total < 1:
             raise ValueError(f"total must be >= 1, got {total}")
@@ -307,7 +303,9 @@ def calibrate_null(
     statistic is undefined (a zero total, a zero margin or zero score
     variance, likeliest at small n) is counted in
     ``degenerate_replicates`` and left out of the mean and the rates; if
-    every replicate is, the call raises ``ValueError``.
+    every replicate is, the call raises ``ValueError``. A replicate count
+    whose results do not fit in memory (10**15, say) raises
+    ``MemoryError`` before the first draw.
     """
     if isinstance(test, str) and test in _TEST_NAMES:
         kind = _TEST_NAMES[test]

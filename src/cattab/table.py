@@ -74,11 +74,23 @@ def _is_integer_cell(x) -> bool:
         isinstance(x, (float, np.floating)) and bool(np.floor(x) == x))
 
 
+_INT64 = np.dtype(np.int64)
+
+
+def _check_matrix(arr: np.ndarray, what: str) -> np.ndarray:
+    """The shape rule for every stored matrix."""
+    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
+        raise ValueError(f"{what} must be a 2-D matrix with at least 2 rows and at least "
+                         f"2 columns, got shape {arr.shape}")
+    return arr
+
+
 def _frozen_int_matrix(values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 2:
-        raise ValueError(f"counts must be a 2-D matrix, got shape {arr.shape}")
-    if arr.size and not np.can_cast(arr.dtype, np.int64):
+    """The counts' twin of the array rule: a read-only int64 copy in C
+    order, checked integral and within int64 before the cast."""
+    arr = _check_matrix(np.asarray(values), "counts")
+    # The dtype comparison first: np.can_cast alone costs more than the cast.
+    if arr.size and arr.dtype != _INT64 and not np.can_cast(arr.dtype, _INT64):
         kind = arr.dtype.kind
         if kind != "u":  # a uint64 array holds integers only
             if kind == "f":
@@ -101,15 +113,19 @@ def _frozen_int_matrix(values) -> np.ndarray:
             if outside.any():
                 i, j = map(int, np.argwhere(outside)[0])
                 raise ValueError(f"count {arr[i, j]} at cell ({i}, {j}) {fault}")
-    # C order whatever the caller's layout: a sum or product over the
-    # cells runs in memory order, so one layout gives one result.
-    arr = arr.astype(np.int64, order="C")
+    arr = arr.astype(_INT64, order="C")
     arr.setflags(write=False)
     return arr
 
 
+_BOOLS = (bool, np.bool_)
+
+
 def _unique_labels(labels: Sequence[str], expected: int, axis: str) -> tuple[str, ...]:
-    out = tuple(str(lab) for lab in labels)
+    try:
+        out = tuple(str(lab) for lab in labels)
+    except TypeError:  # None, an int
+        raise ValueError(f"{axis} labels must be a sequence of names, got {labels!r}") from None
     if len(out) != expected:
         raise ValueError(f"expected {expected} {axis} labels, got {len(out)}")
     if len(set(out)) != len(out):
@@ -138,12 +154,11 @@ class ContingencyTable(_ContentEq):
     col_ordinal: bool = False
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.row_ordinal, _BOOLS) and isinstance(self.col_ordinal, _BOOLS)):
+            raise ValueError(f"row_ordinal and col_ordinal must be bools, got "
+                             f"{self.row_ordinal!r} and {self.col_ordinal!r}")
         counts = _frozen_int_matrix(self.counts)
         n_rows, n_cols = counts.shape
-        if n_rows < 2:
-            raise ValueError("at least 2 rows required")
-        if n_cols < 2:
-            raise ValueError("at least 2 columns required")
         if counts.min() < 0:
             i, j = map(int, np.argwhere(counts < 0)[0])
             raise ValueError(f"negative count {counts[i, j]} at cell ({i}, {j})")
@@ -226,27 +241,19 @@ class ProbabilityEstimates(_ContentEq):
     source: ContingencyTable
 
     def __post_init__(self) -> None:
-        # A copy, so that freezing it leaves the caller's array writable
-        # and a later write to that array cannot change these estimates.
         joint = _probabilities(self.joint, "joint")
+        if not isinstance(self.source, ContingencyTable) or joint.shape != self.source.shape:
+            raise ValueError(f"joint must have its source table's shape, got {joint.shape}")
         rows, cols = _frozen_marginals(joint)
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "row_marginal", rows)
         object.__setattr__(self, "col_marginal", cols)
 
-    @classmethod
-    def _adopt(cls, joint: np.ndarray, source: ContingencyTable) -> ProbabilityEstimates:
-        """Estimates around a float array built for them alone from a table,
-        kept without the copy and the check a caller's array gets."""
-        rows, cols = _frozen_marginals(joint)
-        return _record(cls, joint=joint, row_marginal=rows, col_marginal=cols, source=source)
-
 
 def _frozen_marginals(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row and column sums of ``joint``; all three arrays are made read-only."""
+    """The row and column sums of ``joint``, read-only."""
     rows = joint.sum(axis=1)
     cols = joint.sum(axis=0)
-    joint.setflags(write=False)
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
@@ -268,7 +275,10 @@ def crosstab(
     observed labels are sorted lexicographically. The table total always
     equals the number of records.
     """
-    pair_counts = Counter((str(r), str(c)) for r, c in records)
+    try:
+        pair_counts = Counter((str(r), str(c)) for r, c in records)
+    except TypeError:  # not iterable, or a record that is not a pair
+        raise ValueError("records must be an iterable of (row, column) pairs") from None
     return _table_from_pair_counts(pair_counts, row_order, col_order,
                                    row_ordinal=row_ordinal, col_ordinal=col_ordinal)
 
@@ -327,8 +337,13 @@ def expand_records(table: ContingencyTable) -> list[Record]:
 def joint_probabilities(table: ContingencyTable) -> ProbabilityEstimates:
     """ML estimates of the joint cell probabilities (count / n) together
     with the row and column marginals."""
+    # Built for these estimates alone: frozen here, without the copy and
+    # the check a caller's joint gets.
     joint = np.divide(table._float_counts, table.total())
-    return ProbabilityEstimates._adopt(joint, table)
+    joint.setflags(write=False)
+    rows, cols = _frozen_marginals(joint)
+    return _record(ProbabilityEstimates, joint=joint, row_marginal=rows, col_marginal=cols,
+                   source=table)
 
 
 def conditional_probabilities(

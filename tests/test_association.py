@@ -70,6 +70,26 @@ class TestOdds:
         with pytest.raises(IndexError):
             odds(police_shootings(), 0, 1, 5)
 
+    @pytest.mark.parametrize("index", [0.5, 1.0, "0", None], ids=["0.5", "1.0", "str", "None"])
+    def test_non_integer_index_is_an_index_error(self, index):
+        # 0.5 leaked numpy's IndexError text; odds_ratio raised TypeError.
+        table = police_shootings()
+        with pytest.raises(IndexError, match="row index must be an integer, got "):
+            odds(table, index, 1, 0)
+        with pytest.raises(IndexError, match="column index must be an integer, got "):
+            odds(table, 0, 1, index)
+        with pytest.raises(IndexError, match="row index must be an integer, got "):
+            odds_ratio(table, (0, index), (0, 1))
+        with pytest.raises(IndexError, match="column index must be an integer, got "):
+            odds_ratio(table, (0, 1), (index, 1))
+
+    def test_numpy_integer_indices_are_indices(self):
+        table = police_shootings()
+        assert odds(table, np.int64(0), np.int8(1), np.uint64(0)) == odds(table, 0, 1, 0)
+        ratio = odds_ratio(table, (np.int64(0), np.int64(1)), (np.int32(1), np.int32(0)))
+        assert ratio.cells_used == (0, 1, 1, 0)
+        assert all(type(k) is int for k in ratio.cells_used)
+
     def test_same_row_rejected(self):
         with pytest.raises(ValueError):
             odds(police_shootings(), 1, 1, 0)

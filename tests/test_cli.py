@@ -661,6 +661,13 @@ class TestExitCodes:
         (["simulate", "calibrate", "--n", "100", "--row-marginals", "1e-300,1",
           "--col-marginals", "1e-300,1", "--test", "mantel-haenszel"],
          "the statistic is undefined in all 1000 replicates"),
+        # Each Poisson rate within the sampler's limit, their sum beyond
+        # int64: every drawn table was refused, so this read "the
+        # statistic is undefined in all 1000 replicates".
+        *((["simulate", "calibrate", "--scheme", "poisson", "--total-rate", total,
+            "--row-marginals", ".5,.5", "--col-marginals", ".5,.5"],
+          "cell_rates must be at most 9.223372006484771e+18 in total")
+          for total in ("3e19", "1.5e19")),
     ])
     def test_domain_error_out_of_range_parameter(self, capsys, argv, message):
         seed = ["--replicates", "1000", "--seed", "1"] if argv[0] == "simulate" else []

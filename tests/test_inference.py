@@ -334,6 +334,31 @@ class TestExpectedFrequencies:
         with pytest.raises(ValueError):
             expected_frequencies(police_shootings(), "linearity")
 
+    @pytest.mark.parametrize("values, hypothesis, message", [
+        ([1.0, 2.0], "independence", r"values must be a 2-D matrix .*, got shape \(2,\)"),
+        ([[1.0, 2.0]], "independence", r"values must be a 2-D matrix .*, got shape \(1, 2\)"),
+        ([[np.nan, 1.0], [1.0, 1.0]], "independence", "values must be finite and >= 0"),
+        ([[np.inf, 1.0], [1.0, 1.0]], "homogeneity", "values must be finite and >= 0"),
+        ([[-1.0, 1.0], [1.0, 1.0]], "independence", "values must be finite and >= 0"),
+        ([[10**400, 1], [1, 1]], "independence", "values must be an array of real numbers"),
+        (np.full((2, 2), 1 + 0j), "independence", "values must be an array of real numbers"),
+        ([[1.0, 1.0], [1.0, 1.0]], "linearity", "unknown hypothesis 'linearity'"),
+    ], ids=["1-D", "1x2", "nan", "inf", "negative", "10**400", "complex", "hypothesis"])
+    def test_direct_records_take_only_what_expected_frequencies_returns(
+            self, values, hypothesis, message):
+        # Each was accepted, but 10**400, which raised OverflowError.
+        with pytest.raises(ValueError, match=message):
+            ExpectedFrequencies(values, hypothesis)
+
+    def test_eager_and_test_records_are_one_record(self):
+        # expected_frequencies returns the record the tests return: its
+        # values built on first read, by the same expression.
+        table = life_quality_survey()
+        eager = expected_frequencies(table)
+        assert "values" not in vars(eager)
+        assert eager.values.tobytes() == independence_test(table)[2].values.tobytes()
+        assert eager.values.flags.c_contiguous and not eager.values.flags.writeable
+
     def test_caller_array_is_copied(self):
         values = np.full((2, 2), 2.5)
         expected = ExpectedFrequencies(values, "independence")

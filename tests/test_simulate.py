@@ -102,14 +102,25 @@ class TestSamplingScheme:
 
     def test_poisson_rates_above_the_sampler_limit_rejected(self):
         # numpy's Poisson sampler refuses a rate above int64 max less ten
-        # standard deviations; the scheme names the field instead.
+        # standard deviations; the scheme names the field instead. The
+        # bound is on the sum of the rates, the rate of the drawn total,
+        # so that the total fits a table's int64 counts.
         limit = 9.223372006484771e18
         assert limit == float(2**63 - 1) - 10.0 * math.sqrt(float(2**63 - 1))
-        scheme = SamplingScheme.poisson(np.full((2, 2), limit))
-        assert scheme.draw(np.random.default_rng(1)).shape == (2, 2)
+        scheme = SamplingScheme.poisson(np.full((2, 2), limit / 4))
+        assert float(scheme.cell_rates.sum()) == limit
+        drawn = sample_table(scheme, 1)
+        assert drawn.shape == (2, 2) and drawn.total() <= 2**63 - 1
         for rate in (np.nextafter(limit, math.inf), 1e30):
             with pytest.raises(ValueError, match="cell_rates must be at most 9.223372006484771e"):
                 SamplingScheme.poisson([[1.0, rate], [2.0, 3.0]])
+        # Each rate within the limit, their sum not: every drawn total
+        # exceeded int64, and each replicate was counted as degenerate.
+        for rates in (np.full((2, 2), 7.5e18), np.full((2, 2), 3.75e18),
+                      np.full((2, 2), np.nextafter(limit / 4, math.inf)),
+                      [[1e308, 1e308], [1e308, 1e308]]):
+            with pytest.raises(ValueError, match="cell_rates must be at most 9.223372006484771e"):
+                SamplingScheme.poisson(rates)
 
     def test_poisson_requires_positive_rates(self):
         with pytest.raises(ValueError, match="> 0"):

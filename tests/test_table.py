@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +93,35 @@ class TestContingencyTable:
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
             ContingencyTable([[1, 2], [3, 4]], ("a", "b", "c"), ("x", "y"))
+
+    @pytest.mark.parametrize("labels", [None, 2], ids=["None", "int"])
+    def test_rejects_labels_that_are_no_sequence(self, labels):
+        # TypeError: "'NoneType' object is not iterable".
+        with pytest.raises(ValueError, match="row labels must be a sequence of names, got "):
+            ContingencyTable([[1, 2], [3, 4]], labels, labels)
+
+    @pytest.mark.parametrize("flag", ["yes", 1, None, np.array([True])],
+                             ids=["str", "int", "None", "array"])
+    def test_rejects_ordinal_flags_that_are_not_bools(self, flag):
+        # "yes" was stored as the string.
+        for ordinal in ({"row_ordinal": flag}, {"col_ordinal": flag}):
+            with pytest.raises(ValueError, match="row_ordinal and col_ordinal must be bools"):
+                ContingencyTable([[1, 2], [3, 4]], ("a", "b"), ("x", "y"), **ordinal)
+
+    def test_accepts_numpy_bool_ordinal_flags(self):
+        table = ContingencyTable([[1, 2], [3, 4]], ("a", "b"), ("x", "y"),
+                                 row_ordinal=np.True_, col_ordinal=np.False_)
+        assert table.row_ordinal and not table.col_ordinal
+
+    @pytest.mark.parametrize("counts", [[1, 2, 3], [[1, 2, 3]], [[1], [2]],
+                                        np.zeros((0, 3), dtype=int), [[[1, 2], [3, 4]]]],
+                             ids=["1-D", "1x3", "2x1", "0x3", "3-D"])
+    def test_shape_rule_names_the_shape(self, counts):
+        shape = np.shape(counts)
+        with pytest.raises(ValueError, match=re.escape(
+                f"counts must be a 2-D matrix with at least 2 rows and at least 2 columns, "
+                f"got shape {shape}")):
+            ContingencyTable(counts, ("a",) * shape[0], ("x",))
 
     def test_margins_are_read_only_int64(self):
         table = police_shootings()
@@ -266,6 +297,12 @@ class TestCrosstab:
         with pytest.raises(ValueError, match="empty record set"):
             crosstab(r for r in [])
 
+    @pytest.mark.parametrize("records", [5, None, [5], [None]], ids=["5", "None", "[5]", "[None]"])
+    def test_records_that_are_no_pairs_rejected(self, records):
+        # TypeError: "'int' object is not iterable".
+        with pytest.raises(ValueError, match=r"records must be an iterable of \(row, column\) "):
+            crosstab(records)
+
     def test_category_missing_from_explicit_order_is_named(self):
         with pytest.raises(ValueError, match="'c'"):
             crosstab([("a", "x"), ("c", "y")], row_order=["a", "b"])
@@ -337,6 +374,26 @@ class TestJointProbabilities:
         joint = np.array([[bad, 0.75], [0.25, 0.25]])
         with pytest.raises(ValueError, match=r"joint must be finite and in \[0, 1\], got"):
             ProbabilityEstimates(joint, police_shootings())
+
+    @pytest.mark.parametrize("joint", [[[0.5, 0.5]], [[0.1, 0.2, 0.2], [0.1, 0.2, 0.2]],
+                                       [0.25] * 4, [[[0.25, 0.25], [0.25, 0.25]]]],
+                             ids=["1x2", "2x3", "1-D", "3-D"])
+    def test_hand_built_joint_must_have_the_source_shape(self, joint):
+        # Each was accepted against a 2x2 source table.
+        with pytest.raises(ValueError, match="joint must have its source table's shape"):
+            ProbabilityEstimates(joint, police_shootings())
+
+    @pytest.mark.parametrize("joint, bad", [
+        ([[10**400, 0], [0, 0]], "10**400"), (np.full((2, 2), 0.25 + 0j), "complex"),
+        ([["a", "b"], ["c", "d"]], "str"), ([[0.5, 0.5], [0.5]], "ragged")],
+        ids=lambda v: v if isinstance(v, str) else "")
+    def test_hand_built_joint_must_be_real_numbers(self, joint, bad):
+        # OverflowError, a ComplexWarning and numpy's own messages.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="joint must be an array of real numbers in "
+                                                 "the float range"):
+                ProbabilityEstimates(joint, police_shootings())
 
     def test_caller_array_is_copied(self):
         joint = np.full((2, 2), 0.25)
@@ -566,8 +623,10 @@ def test_joint_layout_does_not_change_the_estimates(seed):
     size = (12, 40, 200)[seed % 3]
     rng = np.random.default_rng([size, seed])
     joint = rng.dirichlet(np.ones(size * size)).reshape(size, size)
-    c_ordered = ProbabilityEstimates(joint, police_shootings())
-    fortran = ProbabilityEstimates(np.asfortranarray(joint), police_shootings())
+    labels = tuple(map(str, range(size)))
+    source = ContingencyTable(np.ones((size, size), dtype=np.int64), labels, labels)
+    c_ordered = ProbabilityEstimates(joint, source)
+    fortran = ProbabilityEstimates(np.asfortranarray(joint), source)
     assert fortran.joint.flags.c_contiguous
     for name in ("joint", "row_marginal", "col_marginal"):
         assert getattr(fortran, name).tobytes() == getattr(c_ordered, name).tobytes(), name
