@@ -8,6 +8,7 @@ integer (``operator.index`` refuses it: 0.5, 1.0, a string), raises
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -71,10 +72,18 @@ class OddsRatioResult:
     correction_applied: bool
 
 
+@functools.lru_cache(maxsize=64)
+def _score_range(size: int) -> np.ndarray:
+    scores = np.arange(1.0, size + 1)
+    scores.setflags(write=False)
+    return scores
+
+
 def _integer_scores(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Consecutive integer scores 1..I and 1..J as float arrays; with
-    I, J >= 2 they always have two distinct values per axis."""
-    return np.arange(1.0, n_rows + 1), np.arange(1.0, n_cols + 1)
+    """Consecutive integer scores 1..I and 1..J as read-only float arrays,
+    built once per size and shared; with I, J >= 2 they always have two
+    distinct values per axis."""
+    return _score_range(n_rows), _score_range(n_cols)
 
 
 def default_scores(table: ContingencyTable) -> ScoreAssignment:
@@ -155,9 +164,10 @@ def _scored_moments(weights: np.ndarray, row_tot: np.ndarray, col_tot: np.ndarra
     under cell weights with the given margins and total: counts with
     their n, or cell probabilities with 1.0. The products are
     ``ndarray.dot``, which equals ``@`` bit for bit on C-contiguous
-    weights and costs less per call on short vectors."""
-    du = u - row_tot.dot(u) / total
-    dv = v - col_tot.dot(v) / total
+    weights and costs less per call on short vectors. The scalar
+    arithmetic is on Python floats, which cost less than numpy scalars."""
+    du = u - float(row_tot.dot(u)) / total
+    dv = v - float(col_tot.dot(v)) / total
     return (float(du.dot(weights).dot(dv)), float(row_tot.dot(du * du)),
             float(col_tot.dot(dv * dv)))
 
@@ -183,13 +193,12 @@ def pearson_correlation(
                 f"need {table.n_cols} column scores, got {len(scores.col_scores)}")
         u = np.asarray(scores.row_scores, dtype=float)
         v = np.asarray(scores.col_scores, dtype=float)
-    n = table.total()
-    if n < 2:
+    if table.total() < 2:
         raise ValueError("correlation needs at least 2 observations")
-    # The table's float counts and margins: dot on int64 operands would
-    # cast them to a float copy of its own on every call.
-    cross, ss_u, ss_v = _scored_moments(table._float_counts, table._float_row_totals.ravel(),
-                                        table._float_col_totals, n, u, v)
+    # The table's float counts, margins and total: dot on int64 operands
+    # would cast them to a float copy of its own on every call.
+    cross, ss_u, ss_v = _scored_moments(table._float_counts, table._float_row_totals_1d,
+                                        table._float_col_totals, table._float_total, u, v)
     if ss_u <= 0.0:
         raise ValueError("row scores have zero variance over the observed data")
     if ss_v <= 0.0:

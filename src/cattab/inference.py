@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 SMALL_CELL_THRESHOLD = 5.0
+_LEAST_SUBNORMAL = math.ulp(0.0)
 _HYPOTHESES = ("independence", "homogeneity")
 
 
@@ -95,15 +96,21 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-def _expected_matrix(row_totals: np.ndarray, col_totals: np.ndarray, n: int) -> np.ndarray:
-    """The writable float matrix row_total * col_total / n: the one
-    expression for the expected frequencies. The margins are a table's
-    float64 margins, the rows as an (I, 1) column, cast once when the
-    table was built; in floats, since an int64 product of two margins can
-    wrap once n > 3e9."""
-    mu = row_totals * col_totals
-    mu /= n
-    return mu
+def _expected_matrix(row_totals: np.ndarray, col_totals: np.ndarray, n: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The writable float matrix row_total * col_total / n, in ``out``
+    when given: the one expression for the expected frequencies. The
+    margins are a table's float64 margins, the rows as an (I, 1) column,
+    and n its float total, cast once when the table was built; in floats,
+    since an int64 product of two margins can wrap once n > 3e9. The rows
+    are copied across ``out`` and multiplied in place, which allocates no
+    iterator buffer of its own, unlike a broadcasting ``np.multiply``."""
+    if out is None:
+        out = np.empty((row_totals.shape[0], col_totals.shape[0]))
+    np.copyto(out, row_totals)
+    out *= col_totals
+    out /= n
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +142,7 @@ class ExpectedFrequencies(_ContentEq):
         """Frequencies of ``table`` whose ``values`` are built on first read."""
         return _record(cls, hypothesis=hypothesis,
                        _margins=(table._float_row_totals, table._float_col_totals,
-                                 table._total))
+                                 table._float_total))
 
     def __getattr__(self, name: str):
         # Reached only when ``name`` is not in the instance dict: once
@@ -300,7 +307,7 @@ def _require_positive_margins(table: ContingencyTable) -> float:
     if not c_min:
         lab = table.col_labels[int(table.col_totals.argmin())]
         raise ValueError(f"column {lab!r} has zero total; expected frequencies undefined")
-    return float(r_min) * float(c_min) / table.total()
+    return float(r_min) * float(c_min) / table._float_total
 
 
 def expected_frequencies(
@@ -322,35 +329,37 @@ def _chisq_pair(
     ``min_expected`` is the smallest expected frequency, from
     :func:`_require_positive_margins`.
 
-    Memory: two buffers of the table's size, with or without zero cells,
-    both freed on return: the expected frequencies and one work buffer
-    that holds every cell term in turn. The counts are the table's float
-    copy, so every step takes float64 operands only (a ufunc that mixes
-    int64 and float64 casts through a buffer of its own on every call).
-    The returned expected frequencies build their matrix again only when
-    read. The statistics are bit for bit
-    ``((o - mu) ** 2 / mu).sum()`` and
-    ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms,
+    Memory: one (2, I, J) buffer, with or without zero cells, freed on
+    return. Its second slot holds the expected frequencies mu, its first
+    the X^2 terms; the second then becomes the G^2 terms in place, and
+    one reduction sums both slots. The counts are the table's float copy,
+    so every step takes float64 operands only (a ufunc that mixes int64
+    and float64 casts through a buffer of its own on every call). The
+    returned expected frequencies build their matrix again only when
+    read. The statistics are bit for bit ``((o - mu) ** 2 / mu).sum()``
+    and ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms,
     summed in the same order, a zero cell's term an exact zero.
     """
-    mu = _expected_matrix(table._float_row_totals, table._float_col_totals, table.total())
     obs = table._float_counts
-    df = (table.n_rows - 1) * (table.n_cols - 1)
-    warn = min_expected < SMALL_CELL_THRESHOLD
-
-    work = np.subtract(obs, mu)
-    np.square(work, out=work)
-    work /= mu
-    x2 = float(work.sum())
-
+    terms = np.empty((2,) + obs.shape)
+    x2_terms, mu = terms[0], terms[1]  # indexed: unpacking iterates, which costs more
+    _expected_matrix(table._float_row_totals, table._float_col_totals, table._float_total,
+                     out=mu)
+    np.subtract(obs, mu, out=x2_terms)
+    np.square(x2_terms, out=x2_terms)
+    x2_terms /= mu
     # 0 ln 0 = 0: a zero cell's ratio is raised to the least subnormal, so
     # its term is 0 * -744.4 = -0.0; a positive o / mu >= 1 / n is unmoved.
-    np.divide(obs, mu, out=work)
-    np.fmax(work, math.ulp(0.0), out=work)
-    np.log(work, out=work)
-    work *= obs
-    g2 = max(0.0, float(2.0 * work.sum()))
+    g2_terms = np.divide(obs, mu, out=mu)
+    np.fmax(g2_terms, _LEAST_SUBNORMAL, out=g2_terms)
+    np.log(g2_terms, out=g2_terms)
+    g2_terms *= obs
+    # Each slot is one contiguous row, summed as the whole matrix would be.
+    x2, g2_half = np.add.reduce(terms.reshape(2, -1), 1).tolist()
+    g2 = max(0.0, 2.0 * g2_half)
 
+    df = (table.n_rows - 1) * (table.n_cols - 1)
+    warn = min_expected < SMALL_CELL_THRESHOLD
     pearson = _record(TestResult, statistic=x2, statistic_kind=StatisticKind.PEARSON_CHISQ,
                       df=df, p_value=chi2_sf(df, x2), sidedness=None,
                       small_cell_warning=warn)

@@ -7,7 +7,9 @@ statistics runtime. Log-gamma is ``math.lgamma``, the normal CDF is
 ``math.erfc`` and the normal quantile is ``statistics.NormalDist``; the
 incomplete gamma function, which the standard library lacks, is a power
 series / continued fraction, or Temme's uniform asymptotic expansion
-when the shape is large and x lies near it.
+when the shape is large and x lies near it. Below x = a + 1 a shape
+under 1 has its upper tail formed directly, not as 1 - P, so that it
+keeps its relative accuracy as a tends to 0.
 
 The chi-square tail at an integer df below 200, which every table test
 up to about 15x15 asks for, is a finite sum of positive terms
@@ -66,6 +68,18 @@ _HUGE_SHAPE = 1e300
 # float below it, is 1.11e-16 away; factors that settle there never stop.
 _CF_TOL = 2.0 * sys.float_info.epsilon
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+# lnGamma(1 + a) / a = -gamma + sum_{k>=2} (-1)^k zeta(k) a^(k-1) / k,
+# from the Taylor series of lnGamma about 1, used below a = 1/16, where
+# the terms past zeta(15) are below 1e-19 of the sum; above it,
+# lgamma(1 + a) / a. The zeta values are mpmath's, rounded to floats.
+_LN_GAMMA_1P_SERIES_MAX_A = 0.0625
+_LN_GAMMA_1P_COEFS = (-0.5772156649015329,) + tuple(
+    (-1.0) ** k * zeta / k for k, zeta in enumerate((
+        1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+        1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+        1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+        1.0000612481350588, 1.000030588236307), 2))
 
 # Taylor coefficients in eta of Temme's C_k(eta), k = 0..6 (Temme 1979;
 # DiDonato & Morris 1986, ACM TOMS 12:377), from the recursion
@@ -154,6 +168,45 @@ def _gamma_series(a: float, x: float) -> float:
     raise RuntimeError(f"incomplete gamma series failed to converge (a={a}, x={x})")
 
 
+def _ln_gamma_1p_over_a(a: float) -> float:
+    """lnGamma(1 + a) / a for 0 < a < 1. A series below a = 1/16: there
+    1.0 + a drops a's low bits, and every bit below a = 1.1e-16, so that
+    lgamma(1.0 + a) would be 0. Above it the rounding of 1 + a moves
+    lgamma by at most 6.4e-17."""
+    if a >= _LN_GAMMA_1P_SERIES_MAX_A:
+        return math.lgamma(1.0 + a) / a
+    total = 0.0
+    for c in reversed(_LN_GAMMA_1P_COEFS):
+        total = total * a + c
+    return total
+
+
+def _gamma_q_small_shape(a: float, x: float) -> float:
+    """Upper regularized gamma Q(a, x) for a < 1 and 0 < x < a + 1, formed
+    directly rather than as 1 - P, which keeps no relative accuracy once
+    Q is small (Q ~ a E1(x) as a -> 0):
+    Q = -expm1(t) - e^t a sum_{n>=1} (-x)^n / ((a + n) n!),
+    t = a ln x - lnGamma(1 + a) = ln(x^a / Gamma(1 + a))
+    (DiDonato & Morris 1986, ACM TOMS 12:377; Gil, Segura & Temme 2012).
+    It is taken as a times Q / a, so that a subnormal shape is rounded
+    once, in the last product. Against mpmath the relative error is below
+    1e-12 wherever Q is a normal float, and within one unit of the least
+    subnormal below that."""
+    u = math.log(x) - _ln_gamma_1p_over_a(a)  # t / a
+    t = a * u
+    # -expm1(t) / a; below |t| = 2**-30 as -u (1 + t/2), within t^2/6 of
+    # it, since t itself can be subnormal.
+    head = -u * (1.0 + 0.5 * t) if abs(t) < 2.0**-30 else -math.expm1(t) / a
+    term, total = 1.0, 0.0
+    for n in range(1, _MAX_ITER):  # alternating; as x < 2, the terms fall from n = 1
+        term *= -x / n
+        step = term / (a + n)
+        total += step
+        if abs(step) <= abs(total) * 1e-17:
+            break
+    return a * (head - math.exp(t) * total)
+
+
 def _gamma_cf(a: float, x: float) -> float:
     # Upper regularized gamma Q(a, x) by continued fraction (modified
     # Lentz); good for x >= a + 1. There Q is below its prefactor
@@ -221,7 +274,8 @@ def _clip01(v: float) -> float:
 def _reg_gamma(a: float, x: float) -> tuple[float, float]:
     """(P(a, x), Q(a, x)), not yet clipped to [0, 1]: Temme's expansion
     near a large shape, else the power series below x = a + 1 and the
-    continued fraction above it, each tail the other's complement."""
+    continued fraction above it, each tail the other's complement; below
+    x = a + 1 a shape under 1 has its Q formed directly."""
     a, x = _float(a), _float(x)
     _check_gamma_args(a, x)
     if x == 0.0:
@@ -235,7 +289,7 @@ def _reg_gamma(a: float, x: float) -> tuple[float, float]:
         return (0.0, 1.0) if x < a else (1.0, 0.0)
     if x < a + 1.0:
         series = _gamma_series(a, x)
-        return series, 1.0 - series
+        return series, _gamma_q_small_shape(a, x) if a < 1.0 else 1.0 - series
     cf = _gamma_cf(a, x)
     return 1.0 - cf, cf
 

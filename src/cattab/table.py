@@ -62,7 +62,7 @@ def _record(cls, **values):
     records of values computed here, whose checks the construction would
     only repeat. ``values`` must name every field, defaults included."""
     record = cls.__new__(cls)
-    record.__dict__.update(values)
+    object.__setattr__(record, "__dict__", values)  # a fresh dict, adopted whole
     return record
 
 
@@ -168,13 +168,16 @@ class ContingencyTable(_ContentEq):
             _count(int(counts.sum(dtype=object)), "table total")
         row_totals = counts.sum(axis=1)
         col_totals = counts.sum(axis=0)
-        n = int(row_totals.sum())
+        # n and the smallest row total from the row totals as Python ints:
+        # on a few margins one tolist() costs less than a numpy reduction.
+        row_list = row_totals.tolist()
+        n = sum(row_list)
         if n < 1:
             raise ValueError("table total must be at least 1")
         # The counts and margins as float64, cast once here (C order, as
         # ``counts``), and the smallest margins: every statistic reads
-        # these instead of casting or scanning its own. The row totals
-        # are a column, (I, 1), as every matrix expression takes them.
+        # these instead of casting or scanning its own. Matrix expressions
+        # take the row totals as an (I, 1) column, a view of the 1-D ones.
         float_counts = counts.astype(float)
         float_rows = row_totals.astype(float)
         float_cols = col_totals.astype(float)
@@ -190,12 +193,14 @@ class ContingencyTable(_ContentEq):
         object.__setattr__(self, "_float_counts", float_counts)
         object.__setattr__(self, "_row_totals", row_totals)
         object.__setattr__(self, "_col_totals", col_totals)
+        object.__setattr__(self, "_float_row_totals_1d", float_rows)
         object.__setattr__(self, "_float_row_totals", float_rows[:, None])
         object.__setattr__(self, "_float_col_totals", float_cols)
         # Python's min over a list: ndarray.min costs more on a few margins.
-        object.__setattr__(self, "_min_row_total", min(row_totals.tolist()))
+        object.__setattr__(self, "_min_row_total", min(row_list))
         object.__setattr__(self, "_min_col_total", min(col_totals.tolist()))
         object.__setattr__(self, "_total", n)
+        object.__setattr__(self, "_float_total", float(n))
 
     @property
     def n_rows(self) -> int:
@@ -251,9 +256,10 @@ class ProbabilityEstimates(_ContentEq):
 
 
 def _frozen_marginals(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row and column sums of ``joint``, read-only."""
-    rows = joint.sum(axis=1)
-    cols = joint.sum(axis=0)
+    """The row and column sums of ``joint``, read-only; ``np.add.reduce``
+    is ``ndarray.sum`` without its Python-level dispatch."""
+    rows = np.add.reduce(joint, 1)
+    cols = np.add.reduce(joint, 0)
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
@@ -339,7 +345,7 @@ def joint_probabilities(table: ContingencyTable) -> ProbabilityEstimates:
     with the row and column marginals."""
     # Built for these estimates alone: frozen here, without the copy and
     # the check a caller's joint gets.
-    joint = np.divide(table._float_counts, table.total())
+    joint = np.divide(table._float_counts, table._float_total)
     joint.setflags(write=False)
     rows, cols = _frozen_marginals(joint)
     return _record(ProbabilityEstimates, joint=joint, row_marginal=rows, col_marginal=cols,

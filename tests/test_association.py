@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cattab.association import (
     ScoreAssignment,
+    _integer_scores,
     default_scores,
     odds,
     odds_ratio,
@@ -166,6 +167,17 @@ class TestScoreAssignment:
         scores = default_scores(life_quality_survey())
         assert scores.row_scores == (1.0, 2.0, 3.0, 4.0, 5.0)
         assert scores.col_scores == (1.0, 2.0, 3.0, 4.0, 5.0)
+
+    def test_integer_scores_are_shared_read_only_arrays(self):
+        # Built once per size and shared by every table of that size, so
+        # no caller may write to them.
+        u, v = _integer_scores(3, 4)
+        assert u.tolist() == [1.0, 2.0, 3.0] and v.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert u.dtype == v.dtype == np.float64
+        assert not u.flags.writeable and not v.flags.writeable
+        with pytest.raises(ValueError):
+            u[0] = 7.0
+        assert _integer_scores(4, 3)[0] is v
 
 
 class TestPearsonCorrelation:

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cattab import inference
 from cattab.association import ScoreAssignment, default_scores, pearson_correlation
 from cattab.fixtures import life_quality_survey, police_shootings, vaccine_trial
 from cattab.inference import (
     ExpectedFrequencies,
     Sidedness,
     StatisticKind,
+    _expected_matrix,
     _require_positive_margins,
     expected_frequencies,
     homogeneity_test,
@@ -619,19 +621,28 @@ class TestResultInvariants:
 
 
 def seeded_counts(size, zero_cells, seed):
-    """A size x size table with positive margins: Poisson counts around
-    a random rank-one mean, with 30% of the cells set to zero when
-    ``zero_cells`` is set and every cell positive otherwise."""
-    rng = np.random.default_rng([size, seed])
-    mean = np.outer(rng.dirichlet(np.full(size, 5.0)), rng.dirichlet(np.full(size, 5.0)))
-    counts = rng.poisson(12 * size * size * mean)
+    """A table with positive margins, size x size or of the (rows, cols)
+    shape ``size``: Poisson counts around a random rank-one mean, with 30%
+    of the cells set to zero when ``zero_cells`` is set and every cell
+    positive otherwise."""
+    square = isinstance(size, int)
+    n_rows, n_cols = (size, size) if square else size
+    rng = np.random.default_rng([size, seed] if square else [n_rows, n_cols, seed])
+    mean = np.outer(rng.dirichlet(np.full(n_rows, 5.0)), rng.dirichlet(np.full(n_cols, 5.0)))
+    counts = rng.poisson(12 * n_rows * n_cols * mean)
     if zero_cells:
         counts[rng.random(counts.shape) < 0.3] = 0
-        counts[np.arange(size), rng.permutation(size)] += 1  # positive margins
+        k = max(n_rows, n_cols)
+        counts[np.arange(k) % n_rows, rng.permutation(k) % n_cols] += 1  # positive margins
         assert not counts.all()
     else:
         counts += 1
     return counts
+
+
+def _shape_id(value):
+    """A (rows, cols) shape's test id, as "2x3"; pytest's own for the rest."""
+    return f"{value[0]}x{value[1]}" if isinstance(value, tuple) else None
 
 
 NEAR_1E18 = np.array([[10**18, 0, 3 * 10**18],
@@ -640,23 +651,27 @@ NEAR_1E18 = np.array([[10**18, 0, 3 * 10**18],
 
 
 class TestLargeTableKernel:
-    """Tables past numpy's 128-element pairwise-summation block, checked
-    bit for bit against the plain formulas the kernels implement: X^2,
-    G^2 and the expected frequencies, and r and M^2 under the integer
-    scores as ``du @ counts @ dv`` over the sums of squares."""
+    """Tables below numpy's 8-element unrolled pairwise-summation block,
+    where a reduction sums in another order, and past its 128-element
+    block, checked bit for bit against the plain formulas the kernels
+    implement: X^2, G^2 and the expected frequencies, and r and M^2 under
+    the integer scores as ``du @ counts @ dv`` over the sums of squares.
+    X^2 and G^2 come from one reduction over a stacked (2, I, J) buffer."""
 
     @pytest.mark.parametrize("size, seed, zero_cells", [
         *((size, seed, zero_cells)
-          for size, seed in [(12, 0), (12, 1), (37, 0), (90, 0), (160, 0), (250, 0)]
+          for size, seed in [((2, 2), 0), ((2, 3), 0), ((3, 4), 0), (5, 0), (12, 0), (12, 1),
+                             (37, 0), (90, 0), (160, 0), (250, 0)]
           for zero_cells in (False, True)),
         pytest.param(3, None, True, id="near-1e18"),
-    ])
+    ], ids=_shape_id)
     def test_bit_identical_to_plain_formulas(self, size, seed, zero_cells):
         # Without a seed: counts near 1e18, a total near the int64 maximum,
         # zero cells where mu is near 1e18 and a count of 1 where it is
         # near 2e17.
         counts = NEAR_1E18 if seed is None else seeded_counts(size, zero_cells, seed)
         table = make_table(counts, row_ordinal=True, col_ordinal=True)
+        n_rows, n_cols = table.shape
         o = table.counts
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -664,7 +679,7 @@ class TestLargeTableKernel:
             x2 = float(((o - mu) ** 2 / mu).sum())
             g2 = zero_filled_deviance(o, mu)
             assert math.isfinite(g2)
-            df = (size - 1) ** 2
+            df = (n_rows - 1) * (n_cols - 1)
             for runner in (independence_test, homogeneity_test):
                 pearson, deviance, expected = runner(table)
                 assert expected.values.tobytes() == mu.tobytes()
@@ -674,9 +689,9 @@ class TestLargeTableKernel:
                 assert pearson.small_cell_warning == deviance.small_cell_warning \
                     == bool(mu.min() < 5)
             rows, cols = table.row_totals.astype(float), table.col_totals.astype(float)
-            scores = np.arange(1.0, size + 1)
-            du = scores - rows @ scores / table.total()
-            dv = scores - cols @ scores / table.total()
+            u, v = np.arange(1.0, n_rows + 1), np.arange(1.0, n_cols + 1)
+            du = u - rows @ u / table.total()
+            dv = v - cols @ v / table.total()
             r = float(du @ o @ dv) / math.sqrt(float(rows @ du**2) * float(cols @ dv**2))
             r = max(-1.0, min(1.0, r))
             m2 = (table.total() - 1) * r * r
@@ -684,9 +699,30 @@ class TestLargeTableKernel:
             linear = mantel_haenszel_test(table)
             assert linear.statistic == m2 and linear.p_value == chi2_sf(1, m2)
 
+    @pytest.mark.parametrize("size, zero_cells", [((2, 3), True), (5, False), (250, True)],
+                             ids=_shape_id)
+    def test_lazy_values_have_the_kernels_bytes(self, size, zero_cells, monkeypatch):
+        # The kernel writes mu into its stacked buffer; the returned
+        # frequencies build it again on first read, by the same expression.
+        written = []
+
+        def recording(*args, **kwargs):
+            out = _expected_matrix(*args, **kwargs)
+            written.append(out.tobytes())
+            return out
+
+        monkeypatch.setattr(inference, "_expected_matrix", recording)
+        table = make_table(seeded_counts(size, zero_cells, 0))
+        for runner in (independence_test, homogeneity_test):
+            written.clear()
+            expected = runner(table)[2]
+            assert len(written) == 1 and "values" not in vars(expected)
+            assert expected.values.tobytes() == written[0]
+            assert expected_frequencies(table).values.tobytes() == written[0]
+
     @pytest.mark.parametrize("zero_cells", [False, True])
     def test_peak_allocation(self, zero_cells):
-        # Expected frequencies plus one work buffer, with or without zero
+        # One stacked buffer of two table-sized slots, with or without zero
         # cells: a zero cell's G^2 term is computed in place like any other.
         counts = seeded_counts(250, False, 0)
         if zero_cells:
@@ -703,7 +739,7 @@ class TestLargeTableKernel:
             f"peak {peak / table.counts.nbytes:.2f}x counts.nbytes"
 
     def test_result_holds_no_table_sized_array(self):
-        # The work buffer and the expected frequencies are freed on return;
+        # The stacked buffer of mu and the terms is freed on return;
         # the returned frequencies keep the table's margins until read.
         table = make_table(seeded_counts(250, False, 0))
         independence_test(table)  # first call pays any one-time set-up

@@ -46,6 +46,12 @@ REG_GAMMA_UPPER_REF = {
 }
 
 # Q(a, x) at large shape, where Temme's expansion is used: a 40-digit
+# E1(x), mpmath at 30 digits.
+E1_REF = {
+    5e-324: 743.8628562564797, 1e-310: 713.2241631632527, 0.05: 2.467898488509974,
+    0.3: 0.9056766516758468, 0.5: 0.5597735947761608, 0.999: 0.21975218202294455,
+}
+
 # mpmath quadrature of t^(a-1) e^(-t) / Gamma(a) over [x, x + 80 sqrt(a)].
 REG_GAMMA_UPPER_LARGE_REF = {
     (150.0, 140.0): 0.79045637608139293365,
@@ -220,9 +226,53 @@ class TestRegularizedGamma:
     @pytest.mark.parametrize("x", [5e-324, 1e-310, 0.05, 0.3, 0.5, 0.999])
     def test_subnormal_shape_below_one(self, a, x):
         # 1/a, the series' first term, is inf: the series never met its
-        # stop. P = 1 - O(a ln x) rounds to 1.
+        # stop. P = 1 - O(a ln x) rounds to 1, and Q = a E1(x) + O(a^2),
+        # which 1 - P rounded to 0, is a subnormal rounded once (to 0 only
+        # below half the least subnormal: a = 5e-324 at x = 0.999).
         assert reg_gamma_lower(a, x) == 1.0
-        assert reg_gamma_upper(a, x) == 0.0
+        assert reg_gamma_upper(a, x) == pytest.approx(a * E1_REF[x], rel=1e-12, abs=5e-324)
+
+    @pytest.mark.parametrize("a, x, expected", [
+        # mpmath, as in test_small_shape_upper_tail_against_mpmath. At the
+        # parent 1 - P gave 2.22e-14, 2.78e-15 (chi2_sf(1e-20, 1)) and a
+        # relative error of 1.3e-13.
+        (1e-200, 0.5, 5.597735947761608e-201),
+        (5e-21, 0.5, 2.7988679738808037e-21),
+        (1e-3, 0.5, 0.0005600666564707498),
+        (1e-3, 1.0009, 0.00021927737297631653),
+        (1e-20, 1e-3, 6.331539364136149e-20),
+    ])
+    def test_small_shape_upper_tail(self, a, x, expected):
+        assert reg_gamma_upper(a, x) == pytest.approx(expected, rel=1e-13)
+        assert chi2_sf(2.0 * a, 2.0 * x) == pytest.approx(expected, rel=1e-13)
+
+    def test_small_shape_upper_tail_against_mpmath(self):
+        # Q for a < 1 below x = a + 1, on a log grid of a from the least
+        # subnormal to 1: relative error at most 1e-12 where Q is a normal
+        # float, and at most one unit of the least subnormal below it.
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact(a, x):  # 1 - x^a / Gamma(1 + a) 1F1(a; a + 1; -x), at 360 digits
+            with mpmath.workdps(360):
+                a, x = mpmath.mpf(a), mpmath.mpf(x)
+                return 1 - x ** a / mpmath.gamma(a + 1) * mpmath.hyp1f1(a, a + 1, -x)
+
+        shapes = [5e-324, 1e-323, 1e-310, 0.0625 * (1 - 1e-15), 0.0625 * (1 + 1e-15),
+                  0.999999, 1.0 - 2.0**-53]
+        shapes += [10.0 ** (-307 + 307 * i / 60) for i in range(60)]
+        least_normal = mpmath.mpf(sys.float_info.min)
+        for a in shapes:
+            xs = [5e-324, 1e-300, 1e-100, 1e-20, 1e-5, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9,
+                  0.99, (a + 1.0) * 0.95, (a + 1.0) * 0.999999]
+            for x in xs:
+                if not x < a + 1.0:
+                    continue
+                q, ref = reg_gamma_upper(a, x), exact(a, x)
+                err = abs(mpmath.mpf(q) - ref)
+                if ref >= least_normal:
+                    assert err <= 1e-12 * ref, (a, x, q)
+                else:
+                    assert err <= 5e-324, (a, x, q)
 
     def test_subnormal_shape_from_one_keeps_the_fraction(self):
         # x >= a + 1 = 1: the fraction, unchanged, gives Q = a E1(x).
