@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import ContingencyTable, _record
+from .table import ContingencyTable
 
 __all__ = [
     "ScoreAssignment",
@@ -154,8 +154,7 @@ def odds_ratio(
     num = (cells[0] + shift) * (cells[1] + shift)
     den = (cells[2] + shift) * (cells[3] + shift)
     estimate = math.inf if den == 0.0 else num / den
-    return _record(OddsRatioResult, estimate=estimate, cells_used=(i, i2, j, j2),
-                   correction_applied=zero_correction)
+    return OddsRatioResult(estimate, (i, i2, j, j2), zero_correction)
 
 
 def _scored_moments(weights: np.ndarray, row_tot: np.ndarray, col_tot: np.ndarray,

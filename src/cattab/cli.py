@@ -704,7 +704,3 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     sys.stdout.write(output)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -323,11 +323,10 @@ def expected_frequencies(
 
 
 def _chisq_pair(
-    table: ContingencyTable, hypothesis: str, min_expected: float
+    table: ContingencyTable, hypothesis: str
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
-    """X^2 and G^2 with their p-values and the expected frequencies;
-    ``min_expected`` is the smallest expected frequency, from
-    :func:`_require_positive_margins`.
+    """X^2 and G^2 with their p-values and the expected frequencies, or
+    ``ValueError`` from :func:`_require_positive_margins` on a zero margin.
 
     Memory: one (2, I, J) buffer, with or without zero cells, freed on
     return. Its second slot holds the expected frequencies mu, its first
@@ -340,6 +339,7 @@ def _chisq_pair(
     and ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms,
     summed in the same order, a zero cell's term an exact zero.
     """
+    min_expected = _require_positive_margins(table)
     obs = table._float_counts
     terms = np.empty((2,) + obs.shape)
     x2_terms, mu = terms[0], terms[1]  # indexed: unpacking iterates, which costs more
@@ -360,12 +360,10 @@ def _chisq_pair(
 
     df = (table.n_rows - 1) * (table.n_cols - 1)
     warn = min_expected < SMALL_CELL_THRESHOLD
-    pearson = _record(TestResult, statistic=x2, statistic_kind=StatisticKind.PEARSON_CHISQ,
-                      df=df, p_value=chi2_sf(df, x2), sidedness=None,
-                      small_cell_warning=warn)
-    deviance = _record(TestResult, statistic=g2, statistic_kind=StatisticKind.DEVIANCE_CHISQ,
-                       df=df, p_value=chi2_sf(df, g2), sidedness=None,
-                       small_cell_warning=warn)
+    pearson = TestResult(x2, StatisticKind.PEARSON_CHISQ, df, chi2_sf(df, x2),
+                         small_cell_warning=warn)
+    deviance = TestResult(g2, StatisticKind.DEVIANCE_CHISQ, df, chi2_sf(df, g2),
+                          small_cell_warning=warn)
     return pearson, deviance, ExpectedFrequencies._deferred(table, hypothesis)
 
 
@@ -374,7 +372,7 @@ def independence_test(
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
     """Pearson X^2 and deviance G^2 against the hypothesis that the row
     and column variables are independent; df = (I-1)(J-1)."""
-    return _chisq_pair(table, "independence", _require_positive_margins(table))
+    return _chisq_pair(table, "independence")
 
 
 def homogeneity_test(
@@ -386,7 +384,7 @@ def homogeneity_test(
     the sampling design and the conclusion wording differ."""
     # A zero response category breaks the shared expected-frequency
     # formula just as a zero design row does.
-    return _chisq_pair(table, "homogeneity", _require_positive_margins(table))
+    return _chisq_pair(table, "homogeneity")
 
 
 def mantel_haenszel_test(
@@ -403,5 +401,4 @@ def mantel_haenszel_test(
             "explicit scores required: table axes are not flagged ordinal")
     r = pearson_correlation(table, scores)
     stat = (table.total() - 1) * r * r
-    return _record(TestResult, statistic=stat, statistic_kind=StatisticKind.MANTEL_HAENSZEL,
-                   df=1, p_value=chi2_sf(1, stat), sidedness=None, small_cell_warning=False)
+    return TestResult(stat, StatisticKind.MANTEL_HAENSZEL, 1, chi2_sf(1, stat))

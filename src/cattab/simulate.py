@@ -27,7 +27,6 @@ from .association import ScoreAssignment, _integer_scores, _scored_moments
 from .distributions import _INT64_MAX, _as_integer, _count, _float_array, _probabilities
 from .inference import (
     StatisticKind,
-    TestResult,
     _level_quantile,
     _proportion_data,
     independence_test,
@@ -57,6 +56,10 @@ _NULL_TOL = 1e-9
 # scheme's rates, the rate of the drawn table's total, so that the total
 # fits a table's int64 counts.
 _POISSON_MAX_RATE = float(_INT64_MAX) - 10.0 * math.sqrt(float(_INT64_MAX))
+# The cell rate above which a Poisson scheme draws a rounded normal (see
+# PoissonScheme), and the largest float below 2**63, its clip to int64.
+_POISSON_NORMAL_RATE = 1e12
+_INT64_MAX_FLOAT = float(np.nextafter(2.0**63, 0.0))
 _MIN_CALIBRATION_REPLICATES = 1000
 _ALPHAS = (0.10, 0.05, 0.01)
 
@@ -103,14 +106,17 @@ class SamplingScheme(_ContentEq, abc.ABC):
 class PoissonScheme(SamplingScheme):
     """Independent Poisson count in every cell; nothing fixed.
 
-    numpy's Poisson sampler, which ``draw`` calls, has the right variance
-    up to a rate of about 1e12 per cell and too much above it: var/rate
-    is 1.002 at 2.5e12, 1.02 at 2.5e13, 1.08 at 2.5e14 and 1.70 at
-    2.5e17 (200,000 draws each, numpy 2.4). A calibration under this
-    scheme is therefore accurate up to cell rates of about 1e12 and
-    overdispersed beyond: on a 2x2 table with margins .5, .5 the mean X^2
-    is 1.10 at a total rate of 1e15 and 1.69 at 1e18, where 1.0 is
-    expected. Rates up to the sampler's limit are still accepted."""
+    A cell whose rate is at most 1e12 is drawn by numpy's Poisson
+    sampler. Above that rate the sampler is overdispersed (var/rate 1.08
+    at 2.5e14 and 1.70 at 2.5e17, numpy 2.4), so such a cell is drawn as
+    ``rint(normal(rate, sqrt(rate)))``, clipped to 0..2**63 - 1024. The
+    rounded normal is within O(rate**-1/2) of Poisson(rate) in total
+    variation, about 1e-6 at 1e12 and less above. ``draw`` takes the
+    Poisson cells first, in one call that passes 0 for every normal cell
+    (a rate that consumes no random numbers), then one normal per normal
+    cell in C order: a scheme with no cell above 1e12 consumes its stream
+    as one ``rng.poisson(cell_rates)`` call. Rates up to the sampler's
+    limit are accepted."""
 
     kind = SchemeKind.POISSON
     cell_rates: np.ndarray
@@ -127,6 +133,14 @@ class PoissonScheme(SamplingScheme):
             raise ValueError(f"cell_rates must be at most {_POISSON_MAX_RATE!r} in total, the "
                              f"largest Poisson rate the sampler draws from; got {total!r}")
         object.__setattr__(self, "cell_rates", rates)
+        # Split once here, read-only as every stored array; not fields, so
+        # they stay out of equality.
+        cells = rates > _POISSON_NORMAL_RATE
+        poisson_rates = np.where(cells, 0.0, rates)
+        for arr in (cells, poisson_rates):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_poisson_rates", poisson_rates)
+        object.__setattr__(self, "_normal_cells", cells if cells.any() else None)
 
     def cell_probabilities(self) -> np.ndarray:
         """The rates normalized to sum to 1."""
@@ -135,7 +149,12 @@ class PoissonScheme(SamplingScheme):
         return probs
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.poisson(self.cell_rates).astype(np.int64)
+        counts = rng.poisson(self._poisson_rates).astype(np.int64)
+        if self._normal_cells is not None:
+            rates = self.cell_rates[self._normal_cells]
+            normal = np.rint(rng.normal(rates, np.sqrt(rates)))
+            counts[self._normal_cells] = np.clip(normal, 0.0, _INT64_MAX_FLOAT)
+        return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,20 +299,6 @@ _TEST_NAMES = {
 }
 
 
-def _replicate(counts: np.ndarray, kind: StatisticKind,
-               scores: ScoreAssignment | None) -> TestResult | None:
-    """The test on one drawn table, or None where its statistic is
-    undefined: a zero total, a zero margin or zero score variance."""
-    try:
-        tab = _as_table(counts)
-        if kind is StatisticKind.MANTEL_HAENSZEL:
-            return mantel_haenszel_test(tab, scores)
-        pearson, deviance, _ = independence_test(tab)
-    except ValueError:
-        return None
-    return pearson if kind is StatisticKind.PEARSON_CHISQ else deviance
-
-
 def calibrate_null(
     scheme: SamplingScheme,
     test: str | StatisticKind,
@@ -332,12 +337,17 @@ def calibrate_null(
     p_values = np.empty(replicates)
     defined = 0
     for _ in range(replicates):
-        res = _replicate(scheme.draw(rng), kind, scores)
-        if res is None:
+        counts = scheme.draw(rng)  # outside the try: a fault in a draw propagates
+        try:
+            table = _as_table(counts)
+            if kind is StatisticKind.MANTEL_HAENSZEL:
+                res = mantel_haenszel_test(table, scores)
+            else:
+                res = independence_test(table)[0 if kind is StatisticKind.PEARSON_CHISQ else 1]
+        except ValueError:  # a zero total, a zero margin or zero score variance
             continue
-        if not defined:
-            reference_df = res.df
         stats[defined], p_values[defined] = res.statistic, res.p_value
+        reference_df = res.df
         defined += 1
     if not defined:
         raise ValueError(f"the statistic is undefined in all {replicates} replicates")

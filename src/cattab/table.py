@@ -58,9 +58,12 @@ class _ContentEq:
 
 def _record(cls, **values):
     """An instance of the frozen dataclass ``cls`` with its instance dict
-    filled from ``values``, without ``__init__`` or ``__post_init__``: for
-    records of values computed here, whose checks the construction would
-    only repeat. ``values`` must name every field, defaults included."""
+    filled from ``values``, without ``__init__`` or ``__post_init__``, for
+    two records: :func:`joint_probabilities`'s, whose checks the
+    constructor would only repeat, and ``ExpectedFrequencies._deferred``'s,
+    whose ``values`` are built on first read. ``values`` names every field,
+    defaults included; the deferred record names its margins in place of
+    ``values``."""
     record = cls.__new__(cls)
     object.__setattr__(record, "__dict__", values)  # a fresh dict, adopted whole
     return record

@@ -388,6 +388,30 @@ class TestCliCommands:
                        "--rows", "2,1", "--cols", "1,2")
         assert env["results"]["odds_ratio"] == pytest.approx(17.01, abs=1e-2)
 
+    def test_odds_ratio_infinite(self, capsys, tmp_path):
+        # A zero denominator cell: +inf, written to JSON as the string "inf".
+        path = tmp_path / "inf.csv"
+        path.write_text("table,x,y\na,3,0\nb,0,4\n")
+        env = run_json(capsys, "assoc", "odds-ratio", "--input", str(path))
+        assert env["results"]["odds_ratio"] == "inf"
+        assert env["results"]["odds"] == {"x": "inf", "y": 0}
+        assert env["warnings"] == ["odds ratio is infinite: a denominator cell is zero "
+                                   "(rerun with --zero-correction for a finite estimate)"]
+
+    def test_odds_ratio_with_undefined_odds(self, capsys, tmp_path):
+        # Both cells of column x are zero: its odds are undefined, the
+        # corrected odds ratio is not.
+        path = tmp_path / "zero_column.csv"
+        path.write_text("table,x,y\na,0,3\nb,0,4\n")
+        argv = ("assoc", "odds-ratio", "--input", str(path), "--zero-correction")
+        env = run_json(capsys, *argv)
+        assert env["results"]["odds"] == {"x": None, "y": 0.75}
+        assert env["warnings"] == ["odds undefined in column 'x': both cells are zero"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "  odds (a vs b) given x: undefined\n" in out
+        assert out.endswith("warning: odds undefined in column 'x': both cells are zero\n")
+
     def test_correlation_defaults(self, capsys):
         env = run_json(capsys, "assoc", "correlation", "--input", SHOOTINGS)
         assert env["results"]["correlation"] == pytest.approx(-0.059, abs=1e-3)
@@ -549,6 +573,36 @@ class TestExitCodes:
                                "--scores", "1:5,a:b")
         assert code == 2
         assert "bad score range 'a:b'" in err
+
+    @pytest.mark.parametrize("scores, message", [
+        ("5:1,1:3", "empty score range '5:1'"),
+        ("a,b;1,2,3", "bad score list 'a,b'"),
+    ])
+    def test_input_error_malformed_scores(self, capsys, scores, message):
+        code, out, err = run_cli(capsys, "test", "linear", "--input", SURVEY,
+                                 "--scores", scores)
+        assert (code, out, err) == (2, "", f"cattab: error: {message}\n")
+
+    def test_domain_error_condition_on_empty_column(self, capsys, tmp_path):
+        path = tmp_path / "empty_column.csv"
+        path.write_text("table,x,y\na,3,0\nb,4,0\n")
+        code, out, err = run_cli(capsys, "describe", "--input", str(path), "--given", "cols")
+        assert (code, out, err) == (3, "", "cattab: error: cannot condition on empty "
+                                           "column 'y'\n")
+
+    def test_input_error_header_with_one_column(self, capsys, tmp_path):
+        path = tmp_path / "one_column.csv"
+        path.write_text("table,x\na,1\nb,2\n")
+        code, out, err = run_cli(capsys, "describe", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"cattab: error: {path}: header must name at least 2 columns, got 1\n"
+
+    def test_input_error_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"table,x,y\na,1,2\nb,\xff,4\n")
+        code, out, err = run_cli(capsys, "describe", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cattab: error: {path} is not valid UTF-8")
 
     def test_input_error_count_above_int64(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"

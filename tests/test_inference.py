@@ -244,6 +244,11 @@ class TestLikelihoodRatioTest:
         assert res.p_value == 1.0
         assert detail.log_l0 == detail.log_l1
 
+    @pytest.mark.parametrize("pi0", [0.0, 1.0])
+    def test_null_boundary_rejected(self, pi0):
+        with pytest.raises(ValueError, match=f"null proportion must be interior, got {pi0}"):
+            lr_test_proportion(3, 10, pi0)
+
     def test_l1_at_least_l0_on_random_instances(self):
         rng = random.Random(20259)
         for _ in range(1000):

@@ -212,6 +212,64 @@ class TestSampleTable:
         assert np.all(np.abs(variances - rates) < 5 * var_se)
 
 
+class TestPoissonLargeRates:
+    """Cells above a rate of 1e12 are drawn as a rounded normal, since
+    numpy's Poisson sampler is overdispersed there; the rest by numpy."""
+
+    @pytest.mark.parametrize("total_rate", [1e13, 1e15, 9e18])
+    def test_variance_equals_the_rate(self, total_rate):
+        # numpy's sampler alone reads var/rate 1.07 at 1e15 and 1.36 at 9e18.
+        rate, draws = total_rate / 4, 10000
+        scheme = SamplingScheme.poisson(np.full((2, 2), rate))
+        rng = np.random.default_rng(5)
+        counts = np.stack([scheme.draw(rng) for _ in range(draws)])
+        deviations = (counts - np.int64(round(rate))).astype(float)  # exact int64 differences
+        cells = 4 * draws
+        assert abs(deviations.mean()) < 4 * math.sqrt(rate / cells)
+        assert abs((deviations**2).mean() / rate - 1.0) < 4 * math.sqrt(2.0 / cells)
+
+    @pytest.mark.parametrize("total_rate", [1e15, 1e18])
+    def test_mean_pearson_statistic_is_one(self, total_rate):
+        # numpy's sampler alone gives 1.09 at 1e15 and 1.69 at 1e18.
+        replicates = 10000
+        scheme = SamplingScheme.poisson(np.full((2, 2), total_rate / 4))
+        report = calibrate_null(scheme, "pearson", replicates, seed=3)
+        assert report.degenerate_replicates == 0
+        assert abs(report.empirical_mean - 1.0) < 4 * math.sqrt(2.0 / replicates)
+
+    def test_draws_equal_numpy_poisson_up_to_the_threshold(self):
+        rates = np.array([[1e12, 3.5], [2e5, 0.25]])
+        scheme = SamplingScheme.poisson(rates)
+        ours, numpys = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(20):
+            assert scheme.draw(ours).tolist() == numpys.poisson(rates).tolist()
+        assert ours.random() == numpys.random()
+
+    def test_mixed_scheme_draws_poisson_cells_then_normal_cells(self):
+        # The Poisson call passes 0 for the normal cells, which consumes
+        # nothing; one normal per normal cell follows, in C order.
+        rates = np.array([[4e14, 3.5], [2e5, 1e13]])
+        scheme = SamplingScheme.poisson(rates)
+        ours, reference = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(20):
+            expected = reference.poisson([[0.0, 3.5], [2e5, 0.0]])
+            large = np.array([4e14, 1e13])
+            expected[[0, 1], [0, 1]] = np.rint(reference.normal(large, np.sqrt(large)))
+            assert scheme.draw(ours).tolist() == expected.tolist()
+        assert ours.random() == reference.random()
+
+    def test_normal_draws_are_clipped_to_the_int64_range(self):
+        class Extremes:
+            def poisson(self, rates):
+                return np.zeros(np.shape(rates), dtype=np.int64)
+
+            def normal(self, rates, sds):
+                return np.array([-5.0, 1e19])
+
+        scheme = SamplingScheme.poisson([[2e12, 3.0], [4.0, 2e12]])
+        assert scheme.draw(Extremes()).tolist() == [[0, 0], [0, 2**63 - 1024]]
+
+
 class TestCalibrateNull:
     def test_pearson_null_calibration(self):
         scheme = SamplingScheme.multinomial(500, UNIFORM_2X2)
@@ -273,6 +331,17 @@ class TestCalibrateNull:
         scheme = SamplingScheme.multinomial(500, UNIFORM_2X2)
         with pytest.raises(ValueError):
             calibrate_null(scheme, "fisher", 1000, seed=1)
+
+    def test_rejects_a_kind_it_cannot_calibrate(self):
+        scheme = SamplingScheme.multinomial(500, UNIFORM_2X2)
+        with pytest.raises(ValueError, match="cannot calibrate statistic kind 'score_z'"):
+            calibrate_null(scheme, "score_z", 1000, seed=1)
+
+    def test_rejects_scores_with_zero_variance_under_the_scheme(self):
+        # The second row has probability 0: the row scores are constant.
+        scheme = SamplingScheme.multinomial(500, [[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="degenerate scores: zero variance under the scheme"):
+            calibrate_null(scheme, "mantel_haenszel", 1000, seed=1)
 
     @pytest.mark.parametrize("replicates, seed, message", [
         (1000.5, 1, "replicates must be an integer, got 1000.5"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cattab.association import OddsRatioResult, odds_ratio, pearson_correlation
-from cattab.fixtures import life_quality_survey, police_shootings, vaccine_trial
+from cattab.fixtures import fixture_path, life_quality_survey, police_shootings, vaccine_trial
 from cattab.inference import (
     ExpectedFrequencies,
     StatisticKind,
@@ -656,9 +656,12 @@ def _same_instance_dict(direct, twin):
                                                     row_ordinal=True, col_ordinal=True)],
                          ids=["2x2", "5x5", "zero-cells"])
 def test_directly_built_records_match_their_public_twins(table):
-    # The per-table statistics fill their records' instance dicts
-    # directly; a field left out (a default such as sidedness) would
-    # still read from the class, so == alone would not see it.
+    # joint_probabilities and the tests' expected frequencies fill their
+    # records' instance dicts directly (table._record), and the expected
+    # frequencies build values on first read; a field left out would
+    # still read from the class, so == alone would not see it. The test
+    # results and the odds ratio are built by their constructors, and
+    # must stay equal to their twins.
     for test in (independence_test, homogeneity_test):
         pearson, deviance, expected = test(table)
         for result in (pearson, deviance):
@@ -678,3 +681,9 @@ def test_directly_built_records_match_their_public_twins(table):
                                                    ratio.correction_applied))
     estimates = joint_probabilities(table)
     _same_instance_dict(estimates, ProbabilityEstimates(estimates.joint, table))
+
+
+def test_unknown_fixture_is_refused():
+    with pytest.raises(ValueError, match="unknown fixture 'nope'; available: "
+                                         "\\('police_shootings', 'vaccine_trial', "):
+        fixture_path("nope")
