@@ -196,7 +196,7 @@ def pearson_correlation(
         raise ValueError("correlation needs at least 2 observations")
     # The table's float counts, margins and total: dot on int64 operands
     # would cast them to a float copy of its own on every call.
-    cross, ss_u, ss_v = _scored_moments(table._float_counts, table._float_row_totals_1d,
+    cross, ss_u, ss_v = _scored_moments(table._float_counts, table._float_row_totals.ravel(),
                                         table._float_col_totals, table._float_total, u, v)
     if ss_u <= 0.0:
         raise ValueError("row scores have zero variance over the observed data")

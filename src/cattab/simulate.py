@@ -51,10 +51,10 @@ __all__ = [
 RNG_ALGORITHM = "numpy-pcg64-sequential"
 
 _NULL_TOL = 1e-9
-# The largest rate numpy's Poisson sampler accepts: int64 max less ten
-# standard deviations, 9.223372006484771e18. It bounds the sum of a
-# scheme's rates, the rate of the drawn table's total, so that the total
-# fits a table's int64 counts.
+# The bound on the sum of a scheme's rates, the rate of the drawn
+# table's total: int64 max less ten standard deviations,
+# 9.223372006484771e18, so that the drawn total fits a table's int64
+# counts.
 _POISSON_MAX_RATE = float(_INT64_MAX) - 10.0 * math.sqrt(float(_INT64_MAX))
 # The cell rate above which a Poisson scheme draws a rounded normal (see
 # PoissonScheme), and the largest float below 2**63, its clip to int64.
@@ -115,8 +115,9 @@ class PoissonScheme(SamplingScheme):
     Poisson cells first, in one call that passes 0 for every normal cell
     (a rate that consumes no random numbers), then one normal per normal
     cell in C order: a scheme with no cell above 1e12 consumes its stream
-    as one ``rng.poisson(cell_rates)`` call. Rates up to the sampler's
-    limit are accepted."""
+    as one ``rng.poisson(cell_rates)`` call. The rates may sum to at most
+    int64 max less ten standard deviations, so that a drawn total fits a
+    table's int64 counts."""
 
     kind = SchemeKind.POISSON
     cell_rates: np.ndarray
@@ -130,8 +131,8 @@ class PoissonScheme(SamplingScheme):
         with np.errstate(over="ignore"):  # a sum beyond the float range is inf, refused
             total = float(rates.sum())
         if total > _POISSON_MAX_RATE:
-            raise ValueError(f"cell_rates must be at most {_POISSON_MAX_RATE!r} in total, the "
-                             f"largest Poisson rate the sampler draws from; got {total!r}")
+            raise ValueError(f"cell_rates must be at most {_POISSON_MAX_RATE!r} in total, so "
+                             f"that a drawn table's total fits int64; got {total!r}")
         object.__setattr__(self, "cell_rates", rates)
         # Split once here, read-only as every stored array; not fields, so
         # they stay out of equality.

@@ -148,6 +148,9 @@ class ContingencyTable(_ContentEq):
     row_ordinal, col_ordinal : whether the categories carry a meaningful
         order (enables default integer scores for linear-association
         tests).
+    row_totals, col_totals : read-only int64 row and column totals, set
+        on construction; not fields, so they stay out of the
+        constructor, repr, equality and hash.
     """
 
     counts: np.ndarray
@@ -179,8 +182,8 @@ class ContingencyTable(_ContentEq):
             raise ValueError("table total must be at least 1")
         # The counts and margins as float64, cast once here (C order, as
         # ``counts``), and the smallest margins: every statistic reads
-        # these instead of casting or scanning its own. Matrix expressions
-        # take the row totals as an (I, 1) column, a view of the 1-D ones.
+        # these instead of casting or scanning its own. The float row
+        # totals are kept as the (I, 1) column that matrix expressions take.
         float_counts = counts.astype(float)
         float_rows = row_totals.astype(float)
         float_cols = col_totals.astype(float)
@@ -192,11 +195,10 @@ class ContingencyTable(_ContentEq):
         object.__setattr__(self, "col_labels",
                            _unique_labels(self.col_labels, n_cols, "column"))
         # Computed once here and read by every statistic; not fields, so
-        # they stay out of the constructor, repr and equality.
+        # they stay out of the constructor, repr, equality and hash.
+        object.__setattr__(self, "row_totals", row_totals)
+        object.__setattr__(self, "col_totals", col_totals)
         object.__setattr__(self, "_float_counts", float_counts)
-        object.__setattr__(self, "_row_totals", row_totals)
-        object.__setattr__(self, "_col_totals", col_totals)
-        object.__setattr__(self, "_float_row_totals_1d", float_rows)
         object.__setattr__(self, "_float_row_totals", float_rows[:, None])
         object.__setattr__(self, "_float_col_totals", float_cols)
         # Python's min over a list: ndarray.min costs more on a few margins.
@@ -216,16 +218,6 @@ class ContingencyTable(_ContentEq):
     @property
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
-
-    @property
-    def row_totals(self) -> np.ndarray:
-        """Read-only int64 row totals."""
-        return self._row_totals
-
-    @property
-    def col_totals(self) -> np.ndarray:
-        """Read-only int64 column totals."""
-        return self._col_totals
 
     def row_total(self, i: int) -> int:
         return int(self.row_totals[i])

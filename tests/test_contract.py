@@ -112,7 +112,7 @@ _ROW_PROBS = st.one_of(
     st.sampled_from([((0.5, 0.5), (0.5, 0.5)), ((0.25, 0.75), (0.25, 0.75)),
                      ((0.2, 0.8), (0.6, 0.4))]),
     _matrix(_arg(0.25, 0.5, 0.75)))
-# Poisson rates: four cells of 7.5e18 sum beyond what the sampler draws.
+# Poisson rates: four cells of 7.5e18 sum beyond the total-rate bound.
 _RATES = st.one_of(st.sampled_from([((3.0, 3.0), (3.0, 3.0)), ((7.5e18,) * 2,) * 2]),
                    _matrix(_arg(0.5, 3.0, 900.0)))
 _SCORE = _arg(1, 2, 3, -1, 0.5)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -26,6 +28,66 @@ NULL_SCHEMES = {
     "binomial_rows": SamplingScheme.binomial_rows((4, 6), [[0.3, 0.7], [0.3, 0.7]]),
     "multinomial": SamplingScheme.multinomial(9, np.outer([0.2, 0.8], [0.4, 0.6])),
 }
+
+# The .05 critical values of chi-square at 1 and 2 df: the squared
+# normal .975 quantile, and -2 ln .05, since chi-square(2) has survival
+# function exp(-x / 2).
+CHI2_CRITICAL_05 = {1: statistics.NormalDist().inv_cdf(0.975) ** 2, 2: -2.0 * math.log(0.05)}
+
+
+def _compositions(n, k):
+    """Every k-tuple of nonnegative integers that sums to n."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def _enumerate(scheme):
+    """Every table a multinomial or binomial-rows scheme can draw, as
+    (rows, exact probability) pairs: a multinomial scheme is one
+    multinomial block over all cells, a binomial-rows scheme one block
+    per row."""
+    if scheme.kind is SchemeKind.MULTINOMIAL_TOTAL_FIXED:
+        blocks = [(scheme.total, scheme.joint_probs.ravel())]
+    else:
+        blocks = zip(scheme.row_totals, scheme.row_probs)
+    outcomes = [[(cells, multinomial_pmf(MultinomialSpec(t, tuple(p.tolist())), cells))
+                 for cells in _compositions(t, len(p))] for t, p in blocks]
+    n_cols = scheme.shape[1]
+    for drawn in itertools.product(*outcomes):
+        cells = sum((c for c, _ in drawn), ())
+        yield ([cells[i:i + n_cols] for i in range(0, len(cells), n_cols)],
+               math.prod(p for _, p in drawn))
+
+
+def _exact_null_rates(scheme):
+    """P(X^2 rejects at .05 | defined), P(G^2 rejects at .05 | defined)
+    and P(degenerate) over every table the scheme can draw, each
+    statistic from its cell formula in plain Python: an independent
+    oracle for ``calibrate_null``, which takes p-values from cattab's own
+    kernel. A table with an empty row or column is degenerate."""
+    n_rows, n_cols = scheme.shape
+    critical = CHI2_CRITICAL_05[(n_rows - 1) * (n_cols - 1)]
+    degenerate = x2_rejects = g2_rejects = 0.0
+    for rows, prob in _enumerate(scheme):
+        row_totals = [sum(row) for row in rows]
+        col_totals = [sum(col) for col in zip(*rows)]
+        if 0 in row_totals or 0 in col_totals:
+            degenerate += prob
+            continue
+        n = sum(row_totals)
+        x2 = g2 = 0.0
+        for r, row in zip(row_totals, rows):
+            for c, o in zip(col_totals, row):
+                e = r * c / n
+                x2 += (o - e) ** 2 / e
+                g2 += 2.0 * o * math.log(o / e) if o else 0.0
+        x2_rejects += prob * (x2 >= critical)
+        g2_rejects += prob * (g2 >= critical)
+    return x2_rejects / (1 - degenerate), g2_rejects / (1 - degenerate), degenerate
 
 
 class TestSamplingScheme:
@@ -394,6 +456,36 @@ class TestCalibrateNull:
         se = math.sqrt(exact * (1 - exact) / replicates)
         assert abs(report.degenerate_replicates / replicates - exact) <= 4 * se
 
+    def test_exact_oracle_values(self):
+        # 2x2 multinomial, uniform cells: at n = 8 a replicate is
+        # degenerate with probability 4/2^8 - 4/4^8.
+        x2, g2, degenerate = _exact_null_rates(SamplingScheme.multinomial(8, UNIFORM_2X2))
+        assert (round(x2, 6), round(g2, 6)) == (0.063426, 0.098146)
+        assert degenerate == pytest.approx(4 / 2**8 - 4 / 4**8, rel=1e-12)
+        x2, _, degenerate = _exact_null_rates(SamplingScheme.multinomial(20, UNIFORM_2X2))
+        assert round(x2, 6) == 0.051201 and degenerate < 1e-5
+
+    @pytest.mark.parametrize("scheme, test", [
+        (SamplingScheme.multinomial(8, UNIFORM_2X2), "pearson"),
+        (SamplingScheme.multinomial(8, UNIFORM_2X2), "deviance"),
+        (SamplingScheme.binomial_rows((5, 5), np.full((2, 3), 1 / 3)), "pearson"),
+    ], ids=["multinomial-pearson", "multinomial-deviance", "binomial_rows-2x3-pearson"])
+    def test_matches_the_exact_small_n_rates(self, scheme, test):
+        # At small n the chi-square reference is off, and some tables
+        # have an empty row or column: the rejection rate at .05 and the
+        # degenerate share must each lie within 4 Monte Carlo SEs of
+        # their exact values, enumerated over every table.
+        x2, g2, degenerate = _exact_null_rates(scheme)
+        exact = x2 if test == "pearson" else g2
+        replicates = 20000
+        report = calibrate_null(scheme, test, replicates, seed=3)
+        assert report.reference_df == (scheme.shape[0] - 1) * (scheme.shape[1] - 1)
+        defined = replicates - report.degenerate_replicates
+        assert abs(report.rejection_rates[0.05] - exact) <= 4 * math.sqrt(
+            exact * (1 - exact) / defined)
+        assert abs(report.degenerate_replicates / replicates - degenerate) <= 4 * math.sqrt(
+            degenerate * (1 - degenerate) / replicates)
+
     def test_every_replicate_undefined_is_an_error(self):
         # Rates this small draw an all-zero table every time.
         scheme = SamplingScheme.poisson(np.full((2, 2), 1e-300))
@@ -425,6 +517,21 @@ class TestCoverage:
         mc = coverage_wald_ci(0.05, 10, 0.95, 10000, seed=99)
         se = math.sqrt(exact * (1 - exact) / 10000)
         assert abs(mc - exact) <= 3 * se
+
+    def test_tracks_the_exact_coverage_oscillation(self):
+        # The exact coverage sum_y binom(y; n, pi) 1[pi in CI(y)] swings
+        # with n (Brown, Cai & DasGupta 2001, Stat. Sci. 16:101): at
+        # pi = .3 from 0.888 at n = 21 to 0.953 at n = 30. The estimate
+        # must follow it within 4 Monte Carlo SEs at every n.
+        exact = {n: sum(binomial_pmf(BinomialSpec(n, 0.3), y)
+                        for y in range(n + 1) if wald_ci(y, n, 0.95).contains(0.3))
+                 for n in range(20, 31)}
+        assert (round(exact[21], 3), round(exact[30], 3)) == (0.888, 0.953)
+        replicates = 20000
+        for n, coverage in exact.items():
+            estimate = coverage_wald_ci(0.3, n, 0.95, replicates, seed=1)
+            assert abs(estimate - coverage) <= 4 * math.sqrt(
+                coverage * (1 - coverage) / replicates), n
 
     @pytest.mark.parametrize("true_pi, trials, level, seed", [
         (0.5, 100, 0.95, 1), (0.05, 10, 0.95, 99), (0.4, 30, 0.9, 5), (0.999, 3, 0.99, 8),

@@ -135,7 +135,13 @@ class TestContingencyTable:
         table = police_shootings()
         assert [f.name for f in dataclasses.fields(table)] == [
             "counts", "row_labels", "col_labels", "row_ordinal", "col_ordinal"]
-        assert "_row_totals" not in repr(table)
+        assert "row_totals" not in repr(table) and "col_totals" not in repr(table)
+        # Each margin is stored once, under its public name.
+        assert not {"_row_totals", "_col_totals", "_float_row_totals_1d"} & vars(table).keys()
+        twin = ContingencyTable(table.counts, table.row_labels, table.col_labels)
+        object.__setattr__(twin, "row_totals", table.row_totals + 1)
+        object.__setattr__(twin, "col_totals", table.col_totals[::-1])
+        assert twin == table and hash(twin) == hash(table)
         rebuilt = dataclasses.replace(table, counts=[[1, 2], [3, 4]])
         assert rebuilt.row_totals.tolist() == [3, 7]
         assert rebuilt.col_totals.tolist() == [4, 6]
