@@ -145,17 +145,14 @@ class PoissonSpec:
 
 def _stirlerr(n: int) -> float:
     """ln(n!) - ln(sqrt(2 pi n) (n/e)^n) for an integer count n >= 0:
-    exact values up to 15, the Stirling series above (Loader 2000)."""
+    exact values up to 15, and above them the five-term Stirling series
+    (Loader 2000). Its truncation error is below the next term,
+    691/(360360 n^11), so its relative error is below 3e-14 at n = 16..35
+    and 1e-15 above."""
     if n <= 15:
         return _STIRLERR_SMALL[int(n)]
     n = float(n)
     nn = n * n
-    if n > 500.0:
-        return (_S0 - _S1 / nn) / n
-    if n > 80.0:
-        return (_S0 - (_S1 - _S2 / nn) / nn) / n
-    if n > 35.0:
-        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
 
 

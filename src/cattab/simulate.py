@@ -87,7 +87,8 @@ class SamplingScheme(_ContentEq, abc.ABC):
 
     @abc.abstractmethod
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One int64 count matrix drawn from ``rng``."""
+        """One count matrix drawn from ``rng``: numpy's int64 counts, not
+        copied here; the table built from them makes its own copy."""
 
     @staticmethod
     def poisson(cell_rates) -> PoissonScheme:
@@ -150,7 +151,7 @@ class PoissonScheme(SamplingScheme):
         return probs
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        counts = rng.poisson(self._poisson_rates).astype(np.int64)
+        counts = rng.poisson(self._poisson_rates)
         if self._normal_cells is not None:
             rates = self.cell_rates[self._normal_cells]
             normal = np.rint(rng.normal(rates, np.sqrt(rates)))
@@ -186,8 +187,7 @@ class BinomialRowsScheme(SamplingScheme):
         return probs
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        rows = [rng.multinomial(t, p) for t, p in zip(self.row_totals, self.row_probs)]
-        return np.asarray(rows, dtype=np.int64)
+        return np.array([rng.multinomial(t, p) for t, p in zip(self.row_totals, self.row_probs)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +211,7 @@ class MultinomialScheme(SamplingScheme):
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         flat = rng.multinomial(self.total, self.joint_probs.ravel())
-        return flat.reshape(self.joint_probs.shape).astype(np.int64)
+        return flat.reshape(self.joint_probs.shape)
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def _frozen_int_matrix(values) -> np.ndarray:
     order, checked integral and within int64 before the cast."""
     arr = _check_matrix(np.asarray(values), "counts")
     # The dtype comparison first: np.can_cast alone costs more than the cast.
-    if arr.size and arr.dtype != _INT64 and not np.can_cast(arr.dtype, _INT64):
+    if arr.dtype != _INT64 and not np.can_cast(arr.dtype, _INT64):
         kind = arr.dtype.kind
         if kind != "u":  # a uint64 array holds integers only
             if kind == "f":

@@ -8,7 +8,14 @@ import pytest
 
 from cattab import simulate
 from cattab.association import ScoreAssignment
-from cattab.distributions import BinomialSpec, MultinomialSpec, binomial_pmf, multinomial_pmf
+from cattab.distributions import (
+    BinomialSpec,
+    MultinomialSpec,
+    PoissonSpec,
+    binomial_pmf,
+    multinomial_pmf,
+    poisson_pmf,
+)
 from cattab.inference import StatisticKind, independence_test, mantel_haenszel_test, wald_ci
 from cattab.simulate import (
     RNG_ALGORITHM,
@@ -45,17 +52,32 @@ def _compositions(n, k):
             yield (first,) + rest
 
 
+def _poisson_cutoff(rate):
+    """The least count c with P(Y > c) < 1e-16 for Y ~ Poisson(rate)."""
+    spec = PoissonSpec(rate)
+    cutoff = math.ceil(rate)
+    while math.fsum(poisson_pmf(spec, y) for y in range(cutoff + 1, cutoff + 100)) >= 1e-16:
+        cutoff += 1
+    return cutoff
+
+
 def _enumerate(scheme):
-    """Every table a multinomial or binomial-rows scheme can draw, as
-    (rows, exact probability) pairs: a multinomial scheme is one
+    """Every table a scheme can draw, as (rows, exact probability) pairs,
+    built from independent blocks of cells: a multinomial scheme is one
     multinomial block over all cells, a binomial-rows scheme one block
-    per row."""
-    if scheme.kind is SchemeKind.MULTINOMIAL_TOTAL_FIXED:
-        blocks = [(scheme.total, scheme.joint_probs.ravel())]
+    per row, and a Poisson scheme one block per cell, whose count runs up
+    to the cutoff beyond which its tail is below 1e-16."""
+    if scheme.kind is SchemeKind.POISSON:
+        outcomes = [[((y,), poisson_pmf(PoissonSpec(rate), y))
+                     for y in range(_poisson_cutoff(rate) + 1)]
+                    for rate in scheme.cell_rates.ravel().tolist()]
     else:
-        blocks = zip(scheme.row_totals, scheme.row_probs)
-    outcomes = [[(cells, multinomial_pmf(MultinomialSpec(t, tuple(p.tolist())), cells))
-                 for cells in _compositions(t, len(p))] for t, p in blocks]
+        if scheme.kind is SchemeKind.MULTINOMIAL_TOTAL_FIXED:
+            blocks = [(scheme.total, scheme.joint_probs.ravel())]
+        else:
+            blocks = zip(scheme.row_totals, scheme.row_probs)
+        outcomes = [[(cells, multinomial_pmf(MultinomialSpec(t, tuple(p.tolist())), cells))
+                     for cells in _compositions(t, len(p))] for t, p in blocks]
     n_cols = scheme.shape[1]
     for drawn in itertools.product(*outcomes):
         cells = sum((c for c, _ in drawn), ())
@@ -223,6 +245,7 @@ class TestSampleTable:
         for scheme in NULL_SCHEMES.values():
             for seed in (0, 5, 2**64 + 3):
                 first = scheme.draw(np.random.default_rng(seed))
+                assert first.dtype == np.int64  # numpy's own counts, not recast
                 assert (sample_table(scheme, seed).counts == first).all()
 
     @pytest.mark.parametrize("seed, message", [
@@ -330,6 +353,27 @@ class TestPoissonLargeRates:
 
         scheme = SamplingScheme.poisson([[2e12, 3.0], [4.0, 2e12]])
         assert scheme.draw(Extremes()).tolist() == [[0, 0], [0, 2**63 - 1024]]
+
+
+class TestStreamContract:
+    """R sequential ``draw`` calls on one seeded stream equal one call of
+    numpy's sampler with ``size=R`` on an identically seeded stream: the
+    property a batched draw of R replicates rests on, checked on every
+    numpy the tests run under."""
+
+    @pytest.mark.parametrize("scheme, sized_call", [
+        (SamplingScheme.multinomial(30, np.outer([0.2, 0.8], [0.1, 0.3, 0.6])),
+         lambda s, rng, r: rng.multinomial(s.total, s.joint_probs.ravel(), size=r)),
+        # Every rate at most 1e12, so every cell is numpy's Poisson draw.
+        (SamplingScheme.poisson([[1e12, 3.5, 0.25], [2e5, 40.0, 1.5]]),
+         lambda s, rng, r: rng.poisson(s.cell_rates, size=(r, *s.shape))),
+    ], ids=["multinomial", "poisson"])
+    def test_sequential_draws_equal_one_sized_call(self, scheme, sized_call):
+        replicates = 2000
+        ours, batched = np.random.default_rng(4), np.random.default_rng(4)
+        draws = np.stack([scheme.draw(ours) for _ in range(replicates)])
+        expected = sized_call(scheme, batched, replicates).reshape(draws.shape)
+        assert draws.tolist() == expected.tolist()
 
 
 class TestCalibrateNull:
@@ -441,35 +485,34 @@ class TestCalibrateNull:
         assert report.rejection_rates == {a: np.mean(p_values <= a) for a in (0.10, 0.05, 0.01)}
         assert report.reference_df == 1
 
-    def test_undefined_rate_matches_the_exact_probability(self):
-        # 2x2 multinomial, n = 10, uniform margins: a replicate is
-        # undefined when a row or a column is empty. Exactly, by
-        # enumerating every table, that is 4/2^10 - 4/4^10.
-        spec = MultinomialSpec(10, (0.25,) * 4)
-        exact = sum(multinomial_pmf(spec, (a, b, c, 10 - a - b - c))
-                    for a in range(11) for b in range(11 - a) for c in range(11 - a - b)
-                    if 0 in (a + b, c + 10 - a - b - c, a + c, 10 - a - c))
-        assert exact == pytest.approx(4 / 2**10 - 4 / 4**10, rel=1e-12)
-        replicates = 20000
-        report = calibrate_null(SamplingScheme.multinomial(10, UNIFORM_2X2), "pearson",
-                                replicates, seed=1)
-        se = math.sqrt(exact * (1 - exact) / replicates)
-        assert abs(report.degenerate_replicates / replicates - exact) <= 4 * se
-
     def test_exact_oracle_values(self):
-        # 2x2 multinomial, uniform cells: at n = 8 a replicate is
-        # degenerate with probability 4/2^8 - 4/4^8.
+        # 2x2 multinomial, uniform cells: a replicate is degenerate when a
+        # row or a column is empty, at n = 8 with probability
+        # 4/2^8 - 4/4^8 and at n = 10 with 4/2^10 - 4/4^10.
         x2, g2, degenerate = _exact_null_rates(SamplingScheme.multinomial(8, UNIFORM_2X2))
         assert (round(x2, 6), round(g2, 6)) == (0.063426, 0.098146)
         assert degenerate == pytest.approx(4 / 2**8 - 4 / 4**8, rel=1e-12)
+        x2, _, degenerate = _exact_null_rates(SamplingScheme.multinomial(10, UNIFORM_2X2))
+        assert round(x2, 6) == 0.052853
+        assert degenerate == pytest.approx(4 / 2**10 - 4 / 4**10, rel=1e-12)
         x2, _, degenerate = _exact_null_rates(SamplingScheme.multinomial(20, UNIFORM_2X2))
         assert round(x2, 6) == 0.051201 and degenerate < 1e-5
+        # 2x2 Poisson, rate 1.5 in every cell: each margin is Poisson(3),
+        # and inclusion-exclusion over the four empty margins gives
+        # P(degenerate) = 4e^-3 - 4e^-4.5 + e^-6.
+        x2, g2, degenerate = _exact_null_rates(SamplingScheme.poisson(np.full((2, 2), 1.5)))
+        assert (round(x2, 6), round(g2, 6)) == (0.058729, 0.080173)
+        assert degenerate == pytest.approx(
+            4 * math.exp(-3) - 4 * math.exp(-4.5) + math.exp(-6), rel=1e-12)
 
     @pytest.mark.parametrize("scheme, test", [
         (SamplingScheme.multinomial(8, UNIFORM_2X2), "pearson"),
         (SamplingScheme.multinomial(8, UNIFORM_2X2), "deviance"),
+        (SamplingScheme.multinomial(10, UNIFORM_2X2), "pearson"),
         (SamplingScheme.binomial_rows((5, 5), np.full((2, 3), 1 / 3)), "pearson"),
-    ], ids=["multinomial-pearson", "multinomial-deviance", "binomial_rows-2x3-pearson"])
+        (SamplingScheme.poisson(np.full((2, 2), 1.5)), "pearson"),
+    ], ids=["multinomial-pearson", "multinomial-deviance", "multinomial-n10-pearson",
+            "binomial_rows-2x3-pearson", "poisson-pearson"])
     def test_matches_the_exact_small_n_rates(self, scheme, test):
         # At small n the chi-square reference is off, and some tables
         # have an empty row or column: the rejection rate at .05 and the
