@@ -667,6 +667,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> str:
     """Execute a parsed request and return the rendered report."""
     if getattr(args, "emit_counts", False):
+        for flag, used in (("--given", args.given is not None),
+                           ("--format json", args.format == "json")):
+            if used:
+                raise InputFormatError(f"{flag} does not apply with --emit-counts, "
+                                       "which prints only the counts CSV")
         return counts_csv_text(_load_table(args))
     which = getattr(args, "which", None)
     command = args.command if which is None else f"{args.command} {which}"

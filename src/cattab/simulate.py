@@ -31,8 +31,8 @@ from .inference import (
     _proportion_data,
     independence_test,
     mantel_haenszel_test,
-    wald_ci,
 )
+from .special import normal_quantile
 from .table import ContingencyTable, _check_matrix, _ContentEq
 
 __all__ = [
@@ -233,13 +233,10 @@ class CalibrationReport:
         return self.rejection_rates[alpha]
 
 
-def _as_table(counts: np.ndarray) -> ContingencyTable:
-    n_rows, n_cols = counts.shape
-    return ContingencyTable(
-        counts,
-        tuple(f"r{i + 1}" for i in range(n_rows)),
-        tuple(f"c{j + 1}" for j in range(n_cols)),
-    )
+def _labels(shape: tuple[int, int]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The row and column labels of a drawn table: r1..rI and c1..cJ."""
+    n_rows, n_cols = shape
+    return tuple(f"r{i + 1}" for i in range(n_rows)), tuple(f"c{j + 1}" for j in range(n_cols))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -262,7 +259,7 @@ def sample_table(scheme: SamplingScheme, seed: int) -> ContingencyTable:
     """Draw one table under the scheme: the first replicate that
     ``calibrate_null`` draws with the same seed. Identical (scheme, seed)
     pairs produce identical tables."""
-    return _as_table(scheme.draw(_rng(seed)))
+    return ContingencyTable(scheme.draw(_rng(seed)), *_labels(scheme.shape))
 
 
 def _require_null(scheme: SamplingScheme, test: StatisticKind,
@@ -331,6 +328,7 @@ def calibrate_null(
     replicates = _replicate_count(replicates)
     scores = _require_null(scheme, kind, scores)
     rng = _rng(seed)
+    row_labels, col_labels = _labels(scheme.shape)
 
     # Allocated up front, so that a replicate count too large for memory
     # fails here and not after a long run.
@@ -340,7 +338,7 @@ def calibrate_null(
     for _ in range(replicates):
         counts = scheme.draw(rng)  # outside the try: a fault in a draw propagates
         try:
-            table = _as_table(counts)
+            table = ContingencyTable(counts, row_labels, col_labels)
             if kind is StatisticKind.MANTEL_HAENSZEL:
                 res = mantel_haenszel_test(table, scores)
             else:
@@ -367,15 +365,17 @@ def coverage_wald_ci(
     true_pi: float, trials: int, level: float, replicates: int, seed: int
 ) -> float:
     """Fraction of simulated binomial samples whose Wald interval covers
-    the true proportion. Requires at least 1000 replicates."""
+    the true proportion. Requires at least 1000 replicates.
+
+    Applies ``wald_ci``'s arithmetic, in its order, to all replicates'
+    counts at once, so its cost grows with the replicates and not with
+    one interval per distinct count."""
     if not 0.0 < true_pi < 1.0:
         raise ValueError(f"true proportion must be interior, got {true_pi}")
-    _level_quantile(level)  # refused before the draws, not by wald_ci after them
+    z = normal_quantile(_level_quantile(level))  # refused before the draws
     _, trials = _proportion_data(0, trials)
     replicates = _replicate_count(replicates)
-    ys = _rng(seed).binomial(trials, true_pi, size=replicates)
-    # One interval per distinct count: at most trials + 1 of them.
-    values, counts = np.unique(ys, return_counts=True)
-    covered = sum(int(c) for y, c in zip(values.tolist(), counts)
-                  if wald_ci(y, trials, level).contains(true_pi))
-    return covered / replicates
+    estimate = _rng(seed).binomial(trials, true_pi, size=replicates) / trials
+    half = z * np.sqrt(estimate * (1.0 - estimate) / trials)
+    covered = (estimate - half <= true_pi) & (true_pi <= estimate + half)
+    return int(np.count_nonzero(covered)) / replicates

@@ -335,6 +335,17 @@ class TestCliCommands:
         assert reparsed.row_labels == original.row_labels
         assert reparsed.col_labels == original.col_labels
 
+    @pytest.mark.parametrize("options, flag", [
+        (["--given", "rows"], "--given"), (["--format", "json"], "--format json"),
+        (["--format", "json", "--given", "cols"], "--given"),
+    ])
+    def test_describe_emit_counts_refuses_options_it_ignores(self, capsys, options, flag):
+        code, out, err = run_cli(capsys, "describe", "--input", SHOOTINGS, "--emit-counts",
+                                 *options)
+        assert (code, out) == (2, "")
+        assert err == (f"cattab: error: {flag} does not apply with --emit-counts, "
+                       "which prints only the counts CSV\n")
+
     def test_linear_with_scores(self, capsys):
         env = run_json(capsys, "test", "linear", "--input", SURVEY,
                        "--scores", "1:5,1:5")

@@ -367,7 +367,11 @@ class TestStreamContract:
         # Every rate at most 1e12, so every cell is numpy's Poisson draw.
         (SamplingScheme.poisson([[1e12, 3.5, 0.25], [2e5, 40.0, 1.5]]),
          lambda s, rng, r: rng.poisson(s.cell_rates, size=(r, *s.shape))),
-    ], ids=["multinomial", "poisson"])
+        # A zero-total row between a small and a large one.
+        (SamplingScheme.binomial_rows((7, 0, 1_000_000), [[0.2, 0.3, 0.5]] * 3),
+         lambda s, rng, r: rng.multinomial(np.asarray(s.row_totals), s.row_probs,
+                                           size=(r, s.shape[0]))),
+    ], ids=["multinomial", "poisson", "binomial_rows"])
     def test_sequential_draws_equal_one_sized_call(self, scheme, sized_call):
         replicates = 2000
         ours, batched = np.random.default_rng(4), np.random.default_rng(4)
@@ -581,12 +585,28 @@ class TestCoverage:
         (0.5, 10**12, 0.95, 2),  # every replicate's count distinct
     ])
     def test_equals_the_sum_over_replicates(self, true_pi, trials, level, seed):
-        # One interval per distinct count gives the fraction that one
-        # interval per replicate gives, exactly.
+        # The array expression gives the fraction that one interval per
+        # replicate gives, exactly.
         ys = np.random.default_rng(np.random.SeedSequence(seed)).binomial(
             trials, true_pi, size=2000)
         covered = sum(wald_ci(int(y), trials, level).contains(true_pi) for y in ys)
         assert coverage_wald_ci(true_pi, trials, level, 2000, seed) == covered / 2000
+
+    def test_equals_one_interval_per_distinct_count(self):
+        # The reference: one wald_ci per distinct count, weighted by how
+        # often it was drawn. Above 2**53 numpy's int-to-float division
+        # may differ from Python's by an ulp, and the fraction must not.
+        grid = itertools.product((0.01, 0.3, 0.5, 0.9),
+                                 (1, 2, 30, 100, 10**6, 10**12, 2**53 + 1, 2**62),
+                                 (0.8, 0.95, 0.99), (0, 3))
+        for true_pi, trials, level, seed in grid:
+            ys = np.random.default_rng(seed).binomial(trials, true_pi, size=2000)
+            values, counts = np.unique(ys, return_counts=True)
+            covered = sum(int(c) for y, c in zip(values.tolist(), counts)
+                          if wald_ci(y, trials, level).contains(true_pi))
+            result = coverage_wald_ci(true_pi, trials, level, 2000, seed)
+            assert type(result) is float
+            assert result == covered / 2000, (true_pi, trials, level, seed)
 
     def test_reproducible(self):
         a = coverage_wald_ci(0.4, 30, 0.9, 1000, seed=5)
