@@ -74,8 +74,8 @@ __all__ = ["main", "run"]
 
 
 def _json_number(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
+    # No payload holds NaN: every input is refused at NaN, and every
+    # computed value is finite or infinite.
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return format(x, ".10g")

@@ -195,6 +195,19 @@ class TestPearsonCorrelation:
         table = make_table([[10, 0], [0, 10]])
         assert pearson_correlation(table) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("row, col, message", [
+        ((1, 2, 3), (1, 2), "need 2 row scores, got 3"),
+        ((1, 2), (1, 2, 3), "need 2 column scores, got 3"),
+    ])
+    def test_one_score_per_category(self, row, col, message):
+        with pytest.raises(ValueError, match=message):
+            pearson_correlation(police_shootings(), ScoreAssignment(row, col))
+
+    def test_one_observation_rejected(self):
+        table = ContingencyTable([[1, 0], [0, 0]], ("a", "b"), ("x", "y"))
+        with pytest.raises(ValueError, match="correlation needs at least 2 observations"):
+            pearson_correlation(table)
+
     def test_zero_variance_rejected(self):
         table = ContingencyTable([[5, 7], [0, 0]], ("a", "b"), ("x", "y"))
         with pytest.raises(ValueError, match="zero variance"):

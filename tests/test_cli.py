@@ -4,6 +4,8 @@ import io
 import json
 import math
 import re
+import runpy
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,6 +20,7 @@ from cattab.cli import main
 from cattab.fixtures import fixture_path
 from cattab.io import (
     InputFormatError,
+    _first_line_of,
     counts_csv_text,
     parse_counts_csv,
     parse_records_csv,
@@ -220,6 +223,14 @@ class TestRecordsCsv:
         path.write_text('a,b\nx,y\n"p\nq",r,s\n')
         with pytest.raises(InputFormatError, match="line 3: expected 2 cells, got 3"):
             parse_records_csv(path)
+
+    def test_row_gone_when_the_file_is_reread(self, tmp_path):
+        # A bad row's line is found by reading the file again; a row that
+        # is no longer there means the file changed under the reader.
+        path = tmp_path / "records.csv"
+        path.write_text("r,c\na,x\n")
+        with pytest.raises(InputFormatError, match="changed while it was being read"):
+            _first_line_of(path, ("a", "x", "y"))
 
     def test_error_names_first_bad_row_of_the_file(self, tmp_path):
         path = tmp_path / "two_bad.csv"
@@ -539,6 +550,26 @@ class TestCliCommands:
         assert "155.471" in out
         assert "187.98" in out
 
+    def test_command_is_bold_on_a_terminal_only(self, monkeypatch):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        monkeypatch.setattr(sys, "stdout", Terminal())
+        monkeypatch.delenv("CATTAB_NO_COLOR", raising=False)
+        assert cli._styled("test independence") == "\x1b[1mtest independence\x1b[0m"
+        monkeypatch.setenv("CATTAB_NO_COLOR", "1")
+        assert cli._styled("test independence") == "test independence"
+
+    def test_module_entry_point_exits_with_mains_code(self, capsys, monkeypatch):
+        # python -m cattab, in process.
+        monkeypatch.setattr(sys, "argv", ["cattab", "dist", "poisson", "--rate", "3",
+                                          "--count", "2"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("cattab", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("dist poisson\n")
+
 
 class TestExitCodes:
     def test_missing_input_file(self, capsys):
@@ -592,6 +623,18 @@ class TestExitCodes:
     def test_input_error_malformed_scores(self, capsys, scores, message):
         code, out, err = run_cli(capsys, "test", "linear", "--input", SURVEY,
                                  "--scores", scores)
+        assert (code, out, err) == (2, "", f"cattab: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dist", "multinomial", "--trials", "3", "--probs", ".2,x", "--counts", "1,2"],
+         "bad --probs value '.2,x'"),
+        (["assoc", "odds-ratio", "--input", SHOOTINGS, "--rows", "1,2,3"],
+         "--rows needs exactly two 1-based indices"),
+        (["assoc", "odds-ratio", "--input", SHOOTINGS, "--rows", "1,99"],
+         "--rows index 99 out of range 1..2"),
+    ], ids=["bad value", "three indices", "index out of range"])
+    def test_input_error_malformed_list_option(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"cattab: error: {message}\n")
 
     def test_domain_error_condition_on_empty_column(self, capsys, tmp_path):
@@ -809,6 +852,10 @@ class TestExitCodes:
                             SHOOTINGS, "--format", "json")
         assert '"statistic": 20.06770267' in out
 
+    def test_json_refuses_a_type_it_cannot_write(self):
+        with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+            cli._json_dumps(object())
+
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -998,6 +1045,9 @@ def _argv(draw):
 @example(case=(["simulate", "calibrate", "--scheme", "poisson", "--total-rate", "900",
                 "--row-marginals", "1e308", "--col-marginals", ".5,.5",
                 "--replicates", "1000", "--seed", "1"], ""))
+# An infinite odds ratio in a JSON report, written as the string "inf".
+@example(case=(["assoc", "odds-ratio", "--input", "{csv}", "--format", "json"],
+               "table,x,y\na,3,0\nb,0,4"))
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_contract_fuzz(tmp_path, case):
@@ -1016,6 +1066,14 @@ def test_cli_contract_fuzz(tmp_path, case):
     assert "Traceback" not in stderr.getvalue()
     if code == 0:
         assert stderr.getvalue() == ""
+    if code == 0 and "json" in argv:
+        # Valid JSON with no NaN or infinity token: no payload holds NaN,
+        # and an infinity is written as a string.
+        json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"JSON report holds {token}")
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,11 @@ class TestWaldTest:
         with pytest.raises(ValueError, match="boundary"):
             wald_test_proportion(10, 10, 0.5)
 
+    @pytest.mark.parametrize("pi0", [-0.1, 1.5, math.nan])
+    def test_null_outside_the_unit_interval_rejected(self, pi0):
+        with pytest.raises(ValueError, match=r"null proportion must be in \[0, 1\], got"):
+            wald_test_proportion(3, 10, pi0)
+
     def test_asymptotic_agreement_near_null(self):
         # The three tests converge on each other for large n when the
         # estimate sits close to the null value.

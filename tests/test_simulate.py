@@ -545,6 +545,16 @@ class TestCoverage:
         coverage = coverage_wald_ci(0.5, 100, 0.95, 10000, seed=42)
         assert 0.93 <= coverage <= 0.97
 
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_an_interval_end_at_pi_covers_it(self, end):
+        # Covered means lower <= pi <= upper, as ConfidenceInterval.contains
+        # has it. At n = 2 only y = 1 gives an interval of nonzero width,
+        # and pi is one of its ends to the last bit.
+        pi = getattr(wald_ci(1, 2, 0.8), end)
+        ones = np.count_nonzero(np.random.default_rng(5).binomial(2, pi, size=1000) == 1)
+        assert ones > 0
+        assert coverage_wald_ci(pi, 2, 0.8, 1000, seed=5) == ones / 1000
+
     def test_small_sample_undercovers(self):
         # Exact coverage at n=10, pi=.5 by enumeration: CI covers .5 only
         # for y in 3..7, so true coverage is well below the nominal level.
