@@ -276,9 +276,20 @@ class TestRegularizedGamma:
                 else:
                     assert err <= 5e-324, (a, x, q)
 
-    @staticmethod
-    def _check_smaller_tail_against_mpmath(points):
+    def test_smaller_tail_on_a_log_grid_against_mpmath(self, monkeypatch):
+        # The 27 x 29 log grid of a from 1e-5 to 1e8 and x from 1e-5 to
+        # 1e9, which spans the series, the continued fraction and the
+        # large-a expansion: the smaller tail's relative error is at most
+        # 1.2e-12 wherever it is a normal float. The worst point found,
+        # 1.17e-12, is (a, x) = (1000, 316.2). The continued fraction's
+        # RuntimeError is unreachable: it ran at most 95 of its 1000
+        # iterations on probe grids, the most where a is tiny and x just
+        # above 1. The grid and those slowest points pass with 150.
         mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(special, "_MAX_ITER", 150)
+        points = [(a, x) for a in np.logspace(-5, 8, 27).tolist()
+                  for x in np.logspace(-5, 9, 29).tolist()]
+        points += [(2.53e-9, 1.0000141), (1.3560151105656348e-07, 1.0002244488977956)]
         least_normal = mpmath.mpf(sys.float_info.min)
         with mpmath.workdps(60):
             for a, x in points:
@@ -294,27 +305,6 @@ class TestRegularizedGamma:
                     ref = ref if lower else 1 - ref
                 if ref >= least_normal:
                     assert abs(mpmath.mpf(p if lower else q) - ref) <= 1.2e-12 * ref, (a, x)
-
-    _LOG_GRID = [(a, x) for a in np.logspace(-5, 8, 27).tolist()
-                 for x in np.logspace(-5, 9, 29).tolist()]
-
-    def test_smaller_tail_on_a_log_grid_against_mpmath(self):
-        # The 27 x 29 log grid of a from 1e-5 to 1e8 and x from 1e-5 to
-        # 1e9, which spans the series, the continued fraction and the
-        # large-a expansion: the smaller tail's relative error is at most
-        # 1.2e-12 wherever it is a normal float. The worst point found,
-        # 1.17e-12, is (a, x) = (1000, 316.2).
-        self._check_smaller_tail_against_mpmath(self._LOG_GRID)
-
-    def test_fraction_converges_well_within_its_iteration_bound(self, monkeypatch):
-        # The continued fraction's RuntimeError is unreachable: it ran at
-        # most 95 of its 1000 iterations on probe grids, the most where a
-        # is tiny and x just above 1. At 150 the grid above and those
-        # slowest points still pass.
-        monkeypatch.setattr(special, "_MAX_ITER", 150)
-        self._check_smaller_tail_against_mpmath(
-            [*self._LOG_GRID, (2.53e-9, 1.0000141),
-             (1.3560151105656348e-07, 1.0002244488977956)])
 
     def test_subnormal_shape_from_one_keeps_the_fraction(self):
         # x >= a + 1 = 1: the fraction, unchanged, gives Q = a E1(x).

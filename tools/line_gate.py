@@ -5,8 +5,9 @@
 
 The tracer is installed (``sys.settrace`` and ``threading.settrace``)
 before cattab is imported, and tier-1 then runs in this process through
-``pytest.main``; extra arguments, such as ``--hypothesis-seed=1``, go to
-pytest. A module's executable lines are those its code objects name in
+``pytest.main``; extra arguments go to pytest. Pass
+``--hypothesis-seed=0``, as CI does, so that the lines hypothesis tests
+run are the same on every run. A module's executable lines are those its code objects name in
 ``co_lines()``. A line that can never run is exempt when it, or the
 block of comment lines directly above it, says ``# unreachable:``
 followed by the reason.

@@ -1,6 +1,6 @@
 """Mutation gate: each mutant in ``tools/mutants.json`` must be killed.
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py
 
 A mutant is one exact-text substitution in one file. For each, the
 whole checkout (less ``.git`` and caches) is copied to a temporary
@@ -13,7 +13,7 @@ unmutated code. A mutant is killed when pytest fails.
 
 A mutant whose entry gives ``"equivalent": "<reason>"`` is expected to
 survive. Before the mutants, the named tests must pass on the unmutated
-copy. With names, only the mutants so named run.
+copy.
 
 Exit status: 0 when every mutant is killed or survives as an equivalent
 it names, 1 otherwise. Standard library only (and pytest).
@@ -56,13 +56,8 @@ def _apply(checkout: Path, mutant: dict) -> None:
     path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
 
 
-def main(names: list[str]) -> int:
+def main() -> int:
     mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
-    if names:
-        unknown = set(names) - {m["name"] for m in mutants}
-        if unknown:
-            raise SystemExit(f"no such mutant: {', '.join(sorted(unknown))}")
-        mutants = [m for m in mutants if m["name"] in names]
     failed = 0
     with tempfile.TemporaryDirectory(prefix="cattab-mutants-") as tmp:
         baseline = Path(tmp) / "baseline"
@@ -95,4 +90,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
