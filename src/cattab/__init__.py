@@ -4,98 +4,24 @@ Sampling-distribution PMFs, maximum-likelihood probability estimation,
 odds ratios and scored correlation, chi-square tests of no association,
 and a seeded Monte Carlo calibrator, all behind one small library API
 and the ``cattab`` command-line tool.
+
+The top-level names are ``__version__`` and the ``__all__`` of
+``special``, ``distributions``, ``table``, ``association``,
+``inference`` and ``simulate``; among them are ``xlogy``, the
+``Record`` pair type, the scheme classes ``PoissonScheme``,
+``BinomialRowsScheme`` and ``MultinomialScheme``, and
+``RNG_ALGORITHM``.
 """
 
 __version__ = "0.1.0"
 
-from .association import (
-    OddsRatioResult,
-    ScoreAssignment,
-    default_scores,
-    odds,
-    odds_ratio,
-    pearson_correlation,
-)
-from .distributions import (
-    BinomialSpec,
-    MultinomialSpec,
-    PoissonSpec,
-    binomial_log_pmf,
-    binomial_moments,
-    binomial_pmf,
-    multinomial_log_pmf,
-    multinomial_pmf,
-    poisson_log_pmf,
-    poisson_pmf,
-)
-from .inference import (
-    ConfidenceInterval,
-    ExpectedFrequencies,
-    LikelihoodDetail,
-    Sidedness,
-    StatisticKind,
-    TestResult,
-    expected_frequencies,
-    homogeneity_test,
-    independence_test,
-    log_likelihood,
-    lr_test_proportion,
-    mantel_haenszel_test,
-    mle_proportion,
-    score_test_proportion,
-    wald_ci,
-    wald_test_proportion,
-)
-from .simulate import (
-    CalibrationReport,
-    SamplingScheme,
-    SchemeKind,
-    calibrate_null,
-    coverage_wald_ci,
-    sample_table,
-)
-from .special import (
-    chi2_sf,
-    ln_gamma,
-    normal_cdf,
-    normal_quantile,
-    normal_sf,
-    reg_gamma_lower,
-    reg_gamma_upper,
-)
-from .table import (
-    ContingencyTable,
-    ProbabilityEstimates,
-    conditional_probabilities,
-    crosstab,
-    expand_records,
-    joint_probabilities,
-)
+from . import association, distributions, inference, simulate, special, table
+from .association import *
+from .distributions import *
+from .inference import *
+from .simulate import *
+from .special import *
+from .table import *
 
-__all__ = [
-    "__version__",
-    # special
-    "ln_gamma", "reg_gamma_lower", "reg_gamma_upper", "chi2_sf",
-    "normal_cdf", "normal_sf", "normal_quantile",
-    # distributions
-    "BinomialSpec", "MultinomialSpec", "PoissonSpec",
-    "binomial_pmf", "binomial_log_pmf", "binomial_moments",
-    "multinomial_pmf", "multinomial_log_pmf",
-    "poisson_pmf", "poisson_log_pmf",
-    # table
-    "ContingencyTable", "ProbabilityEstimates", "crosstab",
-    "expand_records", "joint_probabilities", "conditional_probabilities",
-    # association
-    "ScoreAssignment", "OddsRatioResult", "default_scores",
-    "odds", "odds_ratio", "pearson_correlation",
-    # inference
-    "StatisticKind", "Sidedness", "TestResult", "ConfidenceInterval",
-    "ExpectedFrequencies", "LikelihoodDetail",
-    "mle_proportion", "log_likelihood", "score_test_proportion",
-    "wald_test_proportion", "lr_test_proportion", "wald_ci",
-    "expected_frequencies", "independence_test", "homogeneity_test",
-    "mantel_haenszel_test",
-    # simulate
-    "SchemeKind", "SamplingScheme", "CalibrationReport",
-    "sample_table", "calibrate_null", "coverage_wald_ci",
-]
+__all__ = ["__version__", *special.__all__, *distributions.__all__, *table.__all__,
+           *association.__all__, *inference.__all__, *simulate.__all__]

@@ -48,11 +48,15 @@ class ScoreAssignment:
     def __post_init__(self) -> None:
         for field, axis in (("row_scores", "row"), ("col_scores", "column")):
             values = getattr(self, field)
-            # Bounded before float(), which overflows at 10**400; NaN fails too.
-            if not all(s == 0 or _MIN_SCORE <= abs(s) <= _MAX_SCORE for s in values):
+            try:
+                # Bounded before float(), which overflows at 10**400; NaN fails too.
+                valid = all(s == 0 or _MIN_SCORE <= abs(s) <= _MAX_SCORE for s in values)
+                scores = tuple(float(s) for s in values) if valid else None
+            except (TypeError, ValueError):  # None, strings, complex, rows of a 2-D array
+                scores = None
+            if scores is None:
                 raise ValueError(f"{axis} scores must be 0 or between {_MIN_SCORE:g} and "
-                                 f"{_MAX_SCORE:g} in magnitude, got {tuple(values)}")
-            scores = tuple(float(s) for s in values)
+                                 f"{_MAX_SCORE:g} in magnitude, got {values!r}")
             if len(set(scores)) < 2:
                 raise ValueError(f"{axis} scores need >= 2 distinct values, got {scores}")
             object.__setattr__(self, field, scores)
@@ -79,16 +83,26 @@ def _score_range(size: int) -> np.ndarray:
     return scores
 
 
-def _integer_scores(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Consecutive integer scores 1..I and 1..J as read-only float arrays,
-    built once per size and shared; with I, J >= 2 they always have two
-    distinct values per axis."""
-    return _score_range(n_rows), _score_range(n_cols)
+def _score_vectors(scores: ScoreAssignment | None,
+                   shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column score vectors of a table of ``shape``: with no
+    scores, consecutive integers 1..I and 1..J as read-only float arrays,
+    built once per size and shared (with I, J >= 2 they always have two
+    distinct values per axis); otherwise the given scores as float
+    arrays, one per category."""
+    n_rows, n_cols = shape
+    if scores is None:
+        return _score_range(n_rows), _score_range(n_cols)
+    if len(scores.row_scores) != n_rows:
+        raise ValueError(f"need {n_rows} row scores, got {len(scores.row_scores)}")
+    if len(scores.col_scores) != n_cols:
+        raise ValueError(f"need {n_cols} column scores, got {len(scores.col_scores)}")
+    return np.asarray(scores.row_scores, dtype=float), np.asarray(scores.col_scores, dtype=float)
 
 
 def default_scores(table: ContingencyTable) -> ScoreAssignment:
     """Consecutive integer scores 1..I and 1..J in table order."""
-    return ScoreAssignment(*_integer_scores(*table.shape))
+    return ScoreAssignment(*_score_vectors(None, table.shape))
 
 
 def _check_index(i: int, limit: int, axis: str) -> int:
@@ -181,17 +195,7 @@ def pearson_correlation(
     observation with its (row score, column score) pair and correlating
     the two resulting columns. Defaults to integer scores 1..I / 1..J.
     """
-    if scores is None:
-        u, v = _integer_scores(*table.shape)
-    else:
-        if len(scores.row_scores) != table.n_rows:
-            raise ValueError(
-                f"need {table.n_rows} row scores, got {len(scores.row_scores)}")
-        if len(scores.col_scores) != table.n_cols:
-            raise ValueError(
-                f"need {table.n_cols} column scores, got {len(scores.col_scores)}")
-        u = np.asarray(scores.row_scores, dtype=float)
-        v = np.asarray(scores.col_scores, dtype=float)
+    u, v = _score_vectors(scores, table.shape)
     if table.total() < 2:
         raise ValueError("correlation needs at least 2 observations")
     # The table's float counts, margins and total: dot on int64 operands

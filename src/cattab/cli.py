@@ -63,7 +63,7 @@ from .inference import (
     wald_test_proportion,
 )
 from .io import InputFormatError, counts_csv_text, parse_counts_csv, parse_records_csv
-from .simulate import RNG_ALGORITHM, SamplingScheme, calibrate_null, coverage_wald_ci
+from .simulate import _TEST_NAMES, RNG_ALGORITHM, SamplingScheme, calibrate_null, coverage_wald_ci
 from .table import ContingencyTable, conditional_probabilities, joint_probabilities
 
 __all__ = ["main", "run"]
@@ -88,10 +88,10 @@ def _json_dumps(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _json_number(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _json_number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -609,7 +609,7 @@ _OPTIONS = {
     "--successes": dict(required=True, type=int, help="observed successes y"),
     "--trials": dict(required=True, type=int, help="number of trials n"),
     "--null": dict(required=True, type=float, help="null proportion pi0"),
-    "--sided": dict(choices=("two", "upper", "lower"), default="two",
+    "--sided": dict(choices=tuple(_SIDEDNESS), default="two",
                     help="alternative for the score z test"),
     "--level": dict(type=float, default=0.95, help="confidence level of the Wald interval"),
     "--rows": dict(default="1,2", help="two 1-based row indices (default 1,2)"),
@@ -623,8 +623,8 @@ _OPTIONS = {
     "--seed": dict(required=True, type=int, help="64-bit RNG seed"),
     "--replicates": dict(type=int, default=10000, help="number of replicates (default 10000)"),
     "--scheme": dict(choices=tuple(_SCHEMES), default="multinomial", help="sampling scheme"),
-    "--test": dict(choices=("pearson", "deviance", "mantel-haenszel"), default="pearson",
-                   help="statistic to calibrate"),
+    "--test": dict(choices=tuple(name.replace("_", "-") for name in _TEST_NAMES),
+                   default="pearson", help="statistic to calibrate"),
     "--n": dict(type=int, help="multinomial total"),
     "--row-marginals": dict(help="row margin probabilities, e.g. .5,.5"),
     "--col-marginals": dict(help="column margin probabilities"),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import ScoreAssignment, _integer_scores, _scored_moments
+from .association import ScoreAssignment, _score_vectors, _scored_moments
 from .distributions import _INT64_MAX, _as_integer, _count, _float_array, _probabilities
 from .inference import (
     StatisticKind,
@@ -277,17 +277,16 @@ def _require_null(scheme: SamplingScheme, test: StatisticKind,
                 "probabilities are not the product of their margins")
         return None
     # Linear-association null: zero correlation under the given scores.
-    if scores is None:
-        scores = ScoreAssignment(*_integer_scores(*scheme.shape))
-    cov, var_u, var_v = _scored_moments(pi, rows, cols, 1.0, np.asarray(scores.row_scores),
-                                        np.asarray(scores.col_scores))
+    u, v = _score_vectors(scores, scheme.shape)
+    cov, var_u, var_v = _scored_moments(pi, rows, cols, 1.0, u, v)
     if var_u <= 0.0 or var_v <= 0.0:
         raise ValueError("degenerate scores: zero variance under the scheme")
     if abs(cov / (math.sqrt(var_u) * math.sqrt(var_v))) > _NULL_TOL:  # var_u * var_v can be 0.0
         raise ValueError(
             "scheme does not satisfy the zero-correlation null under the "
             "given scores")
-    return scores
+    # A drawn table's axes are not flagged ordinal: the default scores are named.
+    return ScoreAssignment(u, v) if scores is None else scores
 
 
 _TEST_NAMES = {

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cattab.association import (
     ScoreAssignment,
-    _integer_scores,
+    _score_vectors,
     default_scores,
     odds,
     odds_ratio,
@@ -171,13 +172,18 @@ class TestScoreAssignment:
     def test_integer_scores_are_shared_read_only_arrays(self):
         # Built once per size and shared by every table of that size, so
         # no caller may write to them.
-        u, v = _integer_scores(3, 4)
+        u, v = _score_vectors(None, (3, 4))
         assert u.tolist() == [1.0, 2.0, 3.0] and v.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert u.dtype == v.dtype == np.float64
         assert not u.flags.writeable and not v.flags.writeable
         with pytest.raises(ValueError):
             u[0] = 7.0
-        assert _integer_scores(4, 3)[0] is v
+        assert _score_vectors(None, (4, 3))[0] is v
+
+    def test_decimal_and_numpy_scores_are_numbers(self):
+        scores = ScoreAssignment((Decimal("0.5"), Decimal(2)), np.array([1, 3], dtype=np.int64))
+        assert scores == ScoreAssignment((0.5, 2.0), (1.0, 3.0))
+        assert all(type(s) is float for s in scores.row_scores + scores.col_scores)
 
 
 class TestPearsonCorrelation:
@@ -221,11 +227,19 @@ class TestPearsonCorrelation:
         ((1, 2, 3, 4, 10**400), (1, 2, 3, 4, 5)),
         (tuple(1e-100 * k for k in range(1, 6)), tuple(1e-100 * k for k in range(1, 6))),
         ((0, 5e-324, 1e-323, 2, 3), (1, 2, 3, 4, 5)),
-    ], ids=["nan", "inf", "1e308", "1e100-scale", "10**400", "1e-100-scale", "subnormal"])
+        (("a", "b"), (1, 2)),
+        (None, (1, 2)),
+        ((1, 2, 3, 4, 5), (1, 2, 3, 4, 1j)),
+        (np.array([[1, 2], [3, 4]]), (1, 2)),
+    ], ids=["nan", "inf", "1e308", "1e100-scale", "10**400", "1e-100-scale", "subnormal",
+            "strings", "None", "complex", "2-D"])
     def test_scores_outside_the_score_rule_rejected(self, row, col):
         # NaN and 1e308 gave r = 1 (the latter with RuntimeWarnings), and
         # 1e100 scale gave r = 0.0 where r is 0.5989: ss_u * ss_v overflowed.
-        # At 1e-100 scale it underflowed to 0: ZeroDivisionError.
+        # At 1e-100 scale it underflowed to 0: ZeroDivisionError. Strings
+        # and None raised TypeError from abs() or from iteration, a complex
+        # score TypeError from float(), and a 2-D array numpy's "truth
+        # value of an array ... is ambiguous".
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,

@@ -30,6 +30,10 @@ from cattab.table import crosstab
 SHOOTINGS = str(fixture_path("police_shootings"))
 VACCINE = str(fixture_path("vaccine_trial"))
 SURVEY = str(fixture_path("life_quality_survey"))
+# A linear-association calibration on a 2x2 scheme, less its --scores.
+_MH_CALIBRATE = ["simulate", "calibrate", "--test", "mantel-haenszel", "--n", "100",
+                 "--row-marginals", ".5,.5", "--col-marginals", ".5,.5", "--replicates", "1000",
+                 "--seed", "1"]
 
 
 def run_cli(capsys, *argv):
@@ -810,19 +814,21 @@ class TestExitCodes:
         assert err.startswith("cattab: error: not enough memory for this request")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["test", "linear", "--input", SURVEY],
-        ["assoc", "correlation", "--input", SURVEY],
-        ["simulate", "calibrate", "--test", "mantel-haenszel", "--n", "100",
-         "--row-marginals", ".5,.5", "--col-marginals", ".5,.5", "--replicates", "1000",
-         "--seed", "1"],
-    ], ids=["linear", "correlation", "calibrate"])
-    def test_domain_error_score_range_longer_than_its_axis(self, capsys, argv):
+    @pytest.mark.parametrize("argv, scores, message", [
+        (["test", "linear", "--input", SURVEY], f"1:{10**18},1:2",
+         "need 5 row scores, got 1000000000000000000"),
+        (["assoc", "correlation", "--input", SURVEY], f"1:{10**18},1:2",
+         "need 5 row scores, got 1000000000000000000"),
+        (_MH_CALIBRATE, f"1:{10**18},1:2", "need 2 row scores, got 1000000000000000000"),
+        # A comma list is built, then checked by the library: this was
+        # numpy's "shapes (2,) and (3,) not aligned".
+        (_MH_CALIBRATE, "1,2,3;1,2", "need 2 row scores, got 3"),
+    ], ids=["linear", "correlation", "calibrate", "calibrate-list"])
+    def test_domain_error_score_range_longer_than_its_axis(self, capsys, argv, scores, message):
         # The range is refused before it is built; 1:10**18 used to build
         # a list of 10**18 scores.
-        code, out, err = run_cli(capsys, *argv, "--scores", f"1:{10**18},1:2")
-        assert (code, out) == (3, "")
-        assert "row scores, got 1000000000000000000" in err
+        code, out, err = run_cli(capsys, *argv, "--scores", scores)
+        assert (code, out, err) == (3, "", f"cattab: error: {message}\n")
 
     @pytest.mark.parametrize("test", ["pearson", "deviance"])
     @pytest.mark.parametrize("scores", ["1,5;1,9", "junk"])

@@ -423,6 +423,14 @@ class TestCalibrateNull:
             calibrate_null(scheme, "mantel_haenszel", 1000, seed=1,
                            scores=ScoreAssignment((1, 2), (1, 2)))
 
+    def test_rejects_scores_of_the_wrong_length(self):
+        # This was numpy's "shapes (2,) and (3,) not aligned" from the dot
+        # product, not the length check pearson_correlation makes.
+        scheme = SamplingScheme.multinomial(500, UNIFORM_2X2)
+        with pytest.raises(ValueError, match="^need 2 row scores, got 3$"):
+            calibrate_null(scheme, "mantel_haenszel", 1000, seed=1,
+                           scores=ScoreAssignment((1, 2, 3), (1, 2)))
+
     @pytest.mark.parametrize("test", ["pearson", "deviance"])
     def test_rejects_scores_with_a_chi_square_test(self, test):
         # The chi-square statistics take no scores; these were ignored.
