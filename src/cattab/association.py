@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import ContingencyTable
+from .table import ContingencyTable, _ordered
 
 __all__ = [
     "ScoreAssignment",
@@ -34,7 +34,8 @@ _MIN_SCORE, _MAX_SCORE = 1e-60, 1e66
 
 @dataclass(frozen=True)
 class ScoreAssignment:
-    """Numeric codes for the row and column categories, in table order.
+    """Numeric codes for the row and column categories, in table order:
+    each axis is read once, and a set or a mapping is refused.
 
     Each axis needs at least two distinct values, otherwise the induced
     variable is constant and correlation is undefined. Every score is 0
@@ -47,12 +48,12 @@ class ScoreAssignment:
 
     def __post_init__(self) -> None:
         for field, axis in (("row_scores", "row"), ("col_scores", "column")):
-            values = getattr(self, field)
+            values = _ordered(getattr(self, field), f"{axis} scores")
             try:
                 # Bounded before float(), which overflows at 10**400; NaN fails too.
                 valid = all(s == 0 or _MIN_SCORE <= abs(s) <= _MAX_SCORE for s in values)
                 scores = tuple(float(s) for s in values) if valid else None
-            except (TypeError, ValueError):  # None, strings, complex, rows of a 2-D array
+            except (TypeError, ValueError):  # strings, complex, rows of a 2-D array
                 scores = None
             if scores is None:
                 raise ValueError(f"{axis} scores must be 0 or between {_MIN_SCORE:g} and "

@@ -23,7 +23,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -209,12 +208,6 @@ def _test_payload(res: TestResult) -> dict:
 
 # ---------------------------------------------------------------------------
 # Text rendering
-
-
-def _styled(text: str) -> str:
-    if os.environ.get("CATTAB_NO_COLOR") or not sys.stdout.isatty():
-        return text
-    return f"\x1b[1m{text}\x1b[0m"
 
 
 def _prob_grid(row_labels, col_labels, matrix, row_extra=None,
@@ -516,7 +509,7 @@ def _scheme_from_args(args) -> SamplingScheme:
 
 
 def _scheme_payload(scheme: SamplingScheme) -> dict:
-    return {"kind": scheme.kind.value,
+    return {"kind": scheme.kind,
             **{f.name: getattr(scheme, f.name) for f in dataclasses.fields(scheme)}}
 
 
@@ -686,7 +679,7 @@ def run(args: argparse.Namespace) -> str:
             "warnings": warnings,
         }
         return _json_dumps(envelope) + "\n"
-    lines = [_styled(command), *render(results), *(f"warning: {w}" for w in warnings)]
+    lines = [command, *render(results), *(f"warning: {w}" for w in warnings)]
     return "\n".join(lines) + "\n"
 
 

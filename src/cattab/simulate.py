@@ -17,7 +17,6 @@ generator as ``RNG_ALGORITHM``.
 from __future__ import annotations
 
 import abc
-import enum
 import math
 from dataclasses import dataclass
 
@@ -33,10 +32,9 @@ from .inference import (
     mantel_haenszel_test,
 )
 from .special import normal_quantile
-from .table import ContingencyTable, _check_matrix, _ContentEq
+from .table import ContingencyTable, _check_matrix, _ContentEq, _ordered
 
 __all__ = [
-    "SchemeKind",
     "SamplingScheme",
     "PoissonScheme",
     "BinomialRowsScheme",
@@ -64,18 +62,14 @@ _MIN_CALIBRATION_REPLICATES = 1000
 _ALPHAS = (0.10, 0.05, 0.01)
 
 
-class SchemeKind(str, enum.Enum):
-    POISSON = "poisson"
-    BINOMIAL_ROWS_FIXED = "binomial_rows_fixed"
-    MULTINOMIAL_TOTAL_FIXED = "multinomial_total_fixed"
-
-
 class SamplingScheme(_ContentEq, abc.ABC):
     """How a table is generated: one subclass per sampling process, each
     holding only its own fields. Build one with :meth:`poisson`,
-    :meth:`binomial_rows` or :meth:`multinomial`."""
+    :meth:`binomial_rows` or :meth:`multinomial`. ``kind`` names the
+    process: "poisson", "binomial_rows_fixed" or
+    "multinomial_total_fixed"."""
 
-    kind: SchemeKind
+    kind: str
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -120,7 +114,7 @@ class PoissonScheme(SamplingScheme):
     int64 max less ten standard deviations, so that a drawn total fits a
     table's int64 counts."""
 
-    kind = SchemeKind.POISSON
+    kind = "poisson"
     cell_rates: np.ndarray
 
     def __post_init__(self) -> None:
@@ -164,13 +158,13 @@ class BinomialRowsScheme(SamplingScheme):
     """Design-fixed row totals; each row an independent multinomial draw
     over the columns."""
 
-    kind = SchemeKind.BINOMIAL_ROWS_FIXED
+    kind = "binomial_rows_fixed"
     row_totals: tuple[int, ...]
     row_probs: np.ndarray
 
     def __post_init__(self) -> None:
         probs = _check_matrix(_probabilities(self.row_probs, "row_probs", axis=-1), "row_probs")
-        totals = tuple(_count(t, "row_totals") for t in self.row_totals)
+        totals = tuple(_count(t, "row_totals") for t in _ordered(self.row_totals, "row_totals"))
         if len(totals) != probs.shape[0]:
             raise ValueError("row_totals length must match row_probs rows")
         if _count(sum(totals), "the sum of row_totals") < 1:
@@ -194,7 +188,7 @@ class BinomialRowsScheme(SamplingScheme):
 class MultinomialScheme(SamplingScheme):
     """One multinomial draw of fixed size over all cells."""
 
-    kind = SchemeKind.MULTINOMIAL_TOTAL_FIXED
+    kind = "multinomial_total_fixed"
     total: int
     joint_probs: np.ndarray
 
@@ -228,9 +222,6 @@ class CalibrationReport:
     reference_df: int
     seed: int
     rng_algorithm: str = RNG_ALGORITHM
-
-    def rejection_rate_at(self, alpha: float) -> float:
-        return self.rejection_rates[alpha]
 
 
 def _labels(shape: tuple[int, int]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -298,13 +289,15 @@ _TEST_NAMES = {
 
 def calibrate_null(
     scheme: SamplingScheme,
-    test: str | StatisticKind,
+    test: str,
     replicates: int,
     seed: int,
     scores: ScoreAssignment | None = None,
 ) -> CalibrationReport:
     """Simulate the named test statistic under a null scheme and report
     its empirical mean and rejection rates at alpha = .10, .05 and .01.
+    ``test`` is one of "pearson", "deviance" and "mantel_haenszel"; any
+    other value, a ``StatisticKind`` member included, is refused.
 
     The scheme must actually satisfy the null being tested (rank-1 cell
     probabilities for the chi-square tests, zero score correlation for
@@ -318,12 +311,10 @@ def calibrate_null(
     whose results do not fit in memory (10**15, say) raises
     ``MemoryError`` before the first draw.
     """
-    if isinstance(test, str) and test in _TEST_NAMES:
-        kind = _TEST_NAMES[test]
-    else:
-        kind = StatisticKind(test)
-    if kind not in _TEST_NAMES.values():
-        raise ValueError(f"cannot calibrate statistic kind {kind.value!r}")
+    # type(), not isinstance: a StatisticKind member is a str equal to its value.
+    kind = _TEST_NAMES.get(test) if type(test) is str else None
+    if kind is None:
+        raise ValueError(f"test must be one of {', '.join(_TEST_NAMES)}, got {test!r}")
     replicates = _replicate_count(replicates)
     scores = _require_null(scheme, kind, scores)
     rng = _rng(seed)

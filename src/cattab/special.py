@@ -40,7 +40,6 @@ __all__ = [
     "reg_gamma_upper",
     "chi2_sf",
     "normal_cdf",
-    "normal_sf",
     "normal_quantile",
 ]
 
@@ -394,11 +393,6 @@ def normal_cdf(z: float) -> float:
         raise ValueError(f"normal_cdf requires finite z, got {z}")
     tail = 0.5 * _chi2_sf_1df(z * z)
     return tail if z < 0.0 else 1.0 - tail
-
-
-def normal_sf(z: float) -> float:
-    """Standard normal upper-tail probability P(Z >= z) = 1 - CDF(z)."""
-    return normal_cdf(-z)
 
 
 def normal_quantile(p: float) -> float:

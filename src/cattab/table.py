@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -124,11 +125,21 @@ def _frozen_int_matrix(values) -> np.ndarray:
 _BOOLS = (bool, np.bool_)
 
 
+def _ordered(values, what: str) -> tuple:
+    """The rule for scores, labels, explicit orders and row totals:
+    ``values`` read once into a tuple, in its own order. A set or a
+    mapping is refused: a set iterates in hash order, which
+    ``PYTHONHASHSEED`` changes for strings, and a mapping gives its keys."""
+    if not isinstance(values, (Set, Mapping)):
+        try:
+            return tuple(values)
+        except TypeError:  # None, an int
+            pass
+    raise ValueError(f"{what} must be an ordered sequence, got {values!r}")
+
+
 def _unique_labels(labels: Sequence[str], expected: int, axis: str) -> tuple[str, ...]:
-    try:
-        out = tuple(str(lab) for lab in labels)
-    except TypeError:  # None, an int
-        raise ValueError(f"{axis} labels must be a sequence of names, got {labels!r}") from None
+    out = tuple(str(lab) for lab in _ordered(labels, f"{axis} labels"))
     if len(out) != expected:
         raise ValueError(f"expected {expected} {axis} labels, got {len(out)}")
     if len(set(out)) != len(out):
@@ -144,7 +155,8 @@ class ContingencyTable(_ContentEq):
     ----------
     counts : (I, J) int matrix, I >= 2 and J >= 2, all entries >= 0,
         grand total >= 1.
-    row_labels, col_labels : category names, in table order.
+    row_labels, col_labels : category names, in table order; a set or
+        a mapping is refused.
     row_ordinal, col_ordinal : whether the categories carry a meaningful
         order (enables default integer scores for linear-association
         tests).
@@ -219,12 +231,6 @@ class ContingencyTable(_ContentEq):
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
 
-    def row_total(self, i: int) -> int:
-        return int(self.row_totals[i])
-
-    def col_total(self, j: int) -> int:
-        return int(self.col_totals[j])
-
     def total(self) -> int:
         """Grand total n."""
         return self._total
@@ -271,10 +277,10 @@ def crosstab(
     """Cross-tabulate raw (row category, column category) records.
 
     ``records`` may be any iterable; it is read once. Labels follow
-    ``row_order``/``col_order`` when given (a record whose category is
-    missing from an explicit order is an error); otherwise the distinct
-    observed labels are sorted lexicographically. The table total always
-    equals the number of records.
+    ``row_order``/``col_order`` when given (a set or a mapping, or a
+    record whose category is missing from the order, is an error);
+    otherwise the distinct observed labels are sorted lexicographically.
+    The table total always equals the number of records.
     """
     try:
         pair_counts = Counter((str(r), str(c)) for r, c in records)
@@ -313,7 +319,7 @@ def _resolve_order(values: Iterable[str], order: Sequence[str] | None,
     observed = set(values)
     if order is None:
         return tuple(sorted(observed))
-    labels = tuple(str(lab) for lab in order)
+    labels = tuple(str(lab) for lab in _ordered(order, f"explicit {axis} order"))
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate labels in explicit {axis} order: {labels}")
     missing = observed.difference(labels)

@@ -250,7 +250,7 @@ def test_criterion_11_monte_carlo_calibration():
     checks = [
         ("X2 null mean", abs(report.empirical_mean - 1.0) <= 0.05),
         ("rejection at .05",
-         0.04 <= report.rejection_rate_at(0.05) <= 0.06),
+         0.04 <= report.rejection_rates[0.05] <= 0.06),
         ("coverage n=100", 0.93 <= coverage_100 <= 0.97),
         ("exact vs MC coverage", abs(mc_10 - exact_10) <= 3 * se_10),
     ]

@@ -180,6 +180,20 @@ class TestScoreAssignment:
             u[0] = 7.0
         assert _score_vectors(None, (4, 3))[0] is v
 
+    @pytest.mark.parametrize("scores", [None, {1: 2, 3: 4}, {1, 2}, frozenset((1, 2))],
+                             ids=["None", "dict", "set", "frozenset"])
+    def test_scores_that_are_no_sequence_rejected(self, scores):
+        # None raised TypeError from iteration; a dict gave its keys
+        # (1.0, 3.0) and a set its hash order.
+        with pytest.raises(ValueError, match="^row scores must be an ordered sequence, got "):
+            ScoreAssignment(scores, (1, 2))
+
+    def test_generator_scores_are_read_once(self):
+        # The bound check consumed the generator: "row scores need >= 2
+        # distinct values, got ()".
+        scores = ScoreAssignment((s for s in (1, 2)), iter((3, 5)))
+        assert scores == ScoreAssignment((1.0, 2.0), (3.0, 5.0))
+
     def test_decimal_and_numpy_scores_are_numbers(self):
         scores = ScoreAssignment((Decimal("0.5"), Decimal(2)), np.array([1, 3], dtype=np.int64))
         assert scores == ScoreAssignment((0.5, 2.0), (1.0, 3.0))
@@ -228,18 +242,17 @@ class TestPearsonCorrelation:
         (tuple(1e-100 * k for k in range(1, 6)), tuple(1e-100 * k for k in range(1, 6))),
         ((0, 5e-324, 1e-323, 2, 3), (1, 2, 3, 4, 5)),
         (("a", "b"), (1, 2)),
-        (None, (1, 2)),
         ((1, 2, 3, 4, 5), (1, 2, 3, 4, 1j)),
         (np.array([[1, 2], [3, 4]]), (1, 2)),
     ], ids=["nan", "inf", "1e308", "1e100-scale", "10**400", "1e-100-scale", "subnormal",
-            "strings", "None", "complex", "2-D"])
+            "strings", "complex", "2-D"])
     def test_scores_outside_the_score_rule_rejected(self, row, col):
         # NaN and 1e308 gave r = 1 (the latter with RuntimeWarnings), and
         # 1e100 scale gave r = 0.0 where r is 0.5989: ss_u * ss_v overflowed.
         # At 1e-100 scale it underflowed to 0: ZeroDivisionError. Strings
-        # and None raised TypeError from abs() or from iteration, a complex
-        # score TypeError from float(), and a 2-D array numpy's "truth
-        # value of an array ... is ambiguous".
+        # raised TypeError from abs(), a complex score TypeError from
+        # float(), and a 2-D array numpy's "truth value of an array ... is
+        # ambiguous".
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,

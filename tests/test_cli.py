@@ -547,23 +547,26 @@ class TestCliCommands:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
 
-    def test_text_output_shows_statistics(self, capsys, monkeypatch):
-        monkeypatch.setenv("CATTAB_NO_COLOR", "1")
+    def test_text_output_shows_statistics(self, capsys):
         code, out, _ = run_cli(capsys, "test", "homogeneity", "--input", VACCINE)
         assert code == 0
         assert "155.471" in out
         assert "187.98" in out
 
-    def test_command_is_bold_on_a_terminal_only(self, monkeypatch):
+    def test_text_output_is_the_same_on_a_terminal(self, capsys, monkeypatch):
+        # The command name was written bold, in ANSI escapes, when stdout
+        # was a terminal.
+        argv = ["test", "independence", "--input", SHOOTINGS]
+        _, piped, _ = run_cli(capsys, *argv)
+
         class Terminal(io.StringIO):
             def isatty(self):
                 return True
 
-        monkeypatch.setattr(sys, "stdout", Terminal())
-        monkeypatch.delenv("CATTAB_NO_COLOR", raising=False)
-        assert cli._styled("test independence") == "\x1b[1mtest independence\x1b[0m"
-        monkeypatch.setenv("CATTAB_NO_COLOR", "1")
-        assert cli._styled("test independence") == "test independence"
+        terminal = Terminal()
+        monkeypatch.setattr(sys, "stdout", terminal)
+        assert main(argv) == 0
+        assert terminal.getvalue() == piped
 
     def test_module_entry_point_exits_with_mains_code(self, capsys, monkeypatch):
         # python -m cattab, in process.
