@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import ContingencyTable, _ordered
+from .distributions import _ordered
+from .table import ContingencyTable
 
 __all__ = [
     "ScoreAssignment",
@@ -94,6 +95,8 @@ def _score_vectors(scores: ScoreAssignment | None,
     n_rows, n_cols = shape
     if scores is None:
         return _score_range(n_rows), _score_range(n_cols)
+    if not isinstance(scores, ScoreAssignment):
+        raise ValueError(f"scores must be a ScoreAssignment or None, got {scores!r}")
     if len(scores.row_scores) != n_rows:
         raise ValueError(f"need {n_rows} row scores, got {len(scores.row_scores)}")
     if len(scores.col_scores) != n_cols:
@@ -155,7 +158,7 @@ def odds_ratio(
     denominator product yields +inf rather than an error. All four cells
     zero is always an error.
     """
-    (i, i2), (j, j2) = rows, cols
+    (i, i2), (j, j2) = _ordered(rows, "rows"), _ordered(cols, "cols")
     n_rows, n_cols = table.shape
     i, i2 = _check_index(i, n_rows, "row"), _check_index(i2, n_rows, "row")
     j, j2 = _check_index(j, n_cols, "column"), _check_index(j2, n_cols, "column")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,22 @@ def _count(value, what: str) -> int:
     if not 0 <= value <= _INT64_MAX:  # NaN and infinities too
         raise ValueError(f"{what} must be between 0 and {_INT64_MAX}, got {value}")
     return _as_integer(value, what)
+
+
+def _ordered(values, what: str) -> tuple:
+    """The rule for ordered arguments (scores, labels, explicit orders,
+    row totals, multinomial counts and odds-ratio pairs): ``values`` read
+    once into a tuple, in its own order. A set or a mapping is refused: a
+    set iterates in hash order, which ``PYTHONHASHSEED`` changes for
+    strings, and a mapping gives its keys."""
+    if type(values) in (tuple, list):  # the common case, without the ABC checks below
+        return tuple(values)
+    if not isinstance(values, (Set, Mapping)):
+        try:
+            return tuple(values)
+        except TypeError:  # None, an int
+            pass
+    raise ValueError(f"{what} must be an ordered sequence, got {values!r}")
 
 
 def _float_array(values, what: str) -> np.ndarray:
@@ -215,7 +232,7 @@ def binomial_moments(spec: BinomialSpec) -> tuple[float, float]:
 def multinomial_log_pmf(spec: MultinomialSpec, counts) -> float:
     """Log of the multinomial mass at the given per-category counts."""
     n, probs = spec.trials, spec.category_probs
-    counts = [_count(c, "each count") for c in counts]
+    counts = [_count(c, "each count") for c in _ordered(counts, "counts")]
     if len(counts) != len(probs):
         raise ValueError(
             f"expected {len(probs)} counts, got {len(counts)}")

@@ -41,7 +41,6 @@ __all__ = [
 
 SMALL_CELL_THRESHOLD = 5.0
 _LEAST_SUBNORMAL = math.ulp(0.0)
-_HYPOTHESES = ("independence", "homogeneity")
 
 
 class StatisticKind(str, enum.Enum):
@@ -115,8 +114,11 @@ def _expected_matrix(row_totals: np.ndarray, col_totals: np.ndarray, n: float,
 
 @dataclass(frozen=True, eq=False)
 class ExpectedFrequencies(_ContentEq):
-    """Estimated expected cell frequencies row_total * col_total / n,
-    under either the independence or the homogeneity hypothesis.
+    """Estimated expected cell frequencies row_total * col_total / n:
+    one fit for the independence and the homogeneity hypothesis alike.
+    The record names neither: only the sampling design and the wording
+    of the conclusion differ, and the caller names the design by calling
+    :func:`independence_test` or :func:`homogeneity_test`.
 
     ``values`` is a read-only, C-ordered float matrix. The frequencies
     that :func:`expected_frequencies`, :func:`independence_test` and
@@ -124,25 +126,21 @@ class ExpectedFrequencies(_ContentEq):
     and n, and build ``values`` on first read; a test whose caller reads
     only the statistics holds no table-sized matrix. Built directly, the
     record takes what those could return: a finite, nonnegative matrix of
-    at least 2 x 2 and one of the two hypotheses."""
+    at least 2 x 2."""
 
     values: np.ndarray
-    hypothesis: str  # "independence" | "homogeneity"
 
     def __post_init__(self) -> None:
-        if self.hypothesis not in _HYPOTHESES:
-            raise ValueError(f"unknown hypothesis {self.hypothesis!r}")
         values = _check_matrix(_float_array(self.values, "values"), "values")
         if not ((values >= 0.0) & (values < math.inf)).all():  # NaN fails both
             raise ValueError("values must be finite and >= 0")
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _deferred(cls, table: ContingencyTable, hypothesis: str) -> ExpectedFrequencies:
+    def _deferred(cls, table: ContingencyTable) -> ExpectedFrequencies:
         """Frequencies of ``table`` whose ``values`` are built on first read."""
-        return _record(cls, hypothesis=hypothesis,
-                       _margins=(table._float_row_totals, table._float_col_totals,
-                                 table._float_total))
+        return _record(cls, _margins=(table._float_row_totals, table._float_col_totals,
+                                      table._float_total))
 
     def __getattr__(self, name: str):
         # Reached only when ``name`` is not in the instance dict: once
@@ -310,21 +308,15 @@ def _require_positive_margins(table: ContingencyTable) -> float:
     return float(r_min) * float(c_min) / table._float_total
 
 
-def expected_frequencies(
-    table: ContingencyTable, hypothesis: str = "independence"
-) -> ExpectedFrequencies:
+def expected_frequencies(table: ContingencyTable) -> ExpectedFrequencies:
     """Expected cell frequencies row_total * col_total / n. The same
     numbers serve both the independence and the homogeneity hypothesis;
-    only the interpretation of the fit differs. ``values`` is built on
-    first read."""
-    if hypothesis not in _HYPOTHESES:
-        raise ValueError(f"unknown hypothesis {hypothesis!r}")
-    return ExpectedFrequencies._deferred(table, hypothesis)
+    only the sampling design and the wording of the conclusion differ.
+    ``values`` is built on first read."""
+    return ExpectedFrequencies._deferred(table)
 
 
-def _chisq_pair(
-    table: ContingencyTable, hypothesis: str
-) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
+def _chisq_pair(table: ContingencyTable) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
     """X^2 and G^2 with their p-values and the expected frequencies, or
     ``ValueError`` from :func:`_require_positive_margins` on a zero margin.
 
@@ -364,7 +356,7 @@ def _chisq_pair(
                          small_cell_warning=warn)
     deviance = TestResult(g2, StatisticKind.DEVIANCE_CHISQ, df, chi2_sf(df, g2),
                           small_cell_warning=warn)
-    return pearson, deviance, ExpectedFrequencies._deferred(table, hypothesis)
+    return pearson, deviance, ExpectedFrequencies._deferred(table)
 
 
 def independence_test(
@@ -372,7 +364,7 @@ def independence_test(
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
     """Pearson X^2 and deviance G^2 against the hypothesis that the row
     and column variables are independent; df = (I-1)(J-1)."""
-    return _chisq_pair(table, "independence")
+    return _chisq_pair(table)
 
 
 def homogeneity_test(
@@ -380,11 +372,12 @@ def homogeneity_test(
 ) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
     """Pearson X^2 and deviance G^2 against the hypothesis that every
     row (the design-fixed margin) has the same conditional distribution
-    over the columns. Numerically identical to the independence test;
-    the sampling design and the conclusion wording differ."""
+    over the columns. One computation with :func:`independence_test`,
+    whose records it returns: only the sampling design, which the caller
+    names by choosing this function, and the conclusion wording differ."""
     # A zero response category breaks the shared expected-frequency
     # formula just as a zero design row does.
-    return _chisq_pair(table, "homogeneity")
+    return _chisq_pair(table)
 
 
 def mantel_haenszel_test(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import ScoreAssignment, _score_vectors, _scored_moments
-from .distributions import _INT64_MAX, _as_integer, _count, _float_array, _probabilities
+from .distributions import _INT64_MAX, _as_integer, _count, _float_array, _ordered, _probabilities
 from .inference import (
     StatisticKind,
     _level_quantile,
@@ -32,7 +32,7 @@ from .inference import (
     mantel_haenszel_test,
 )
 from .special import normal_quantile
-from .table import ContingencyTable, _check_matrix, _ContentEq, _ordered
+from .table import ContingencyTable, _check_matrix, _ContentEq
 
 __all__ = [
     "SamplingScheme",

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter
-from collections.abc import Mapping, Set
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .distributions import _INT64_MAX, _count, _probabilities
+from .distributions import _INT64_MAX, _count, _ordered, _probabilities
 
 __all__ = [
     "ContingencyTable",
@@ -123,19 +123,6 @@ def _frozen_int_matrix(values) -> np.ndarray:
 
 
 _BOOLS = (bool, np.bool_)
-
-
-def _ordered(values, what: str) -> tuple:
-    """The rule for scores, labels, explicit orders and row totals:
-    ``values`` read once into a tuple, in its own order. A set or a
-    mapping is refused: a set iterates in hash order, which
-    ``PYTHONHASHSEED`` changes for strings, and a mapping gives its keys."""
-    if not isinstance(values, (Set, Mapping)):
-        try:
-            return tuple(values)
-        except TypeError:  # None, an int
-            pass
-    raise ValueError(f"{what} must be an ordered sequence, got {values!r}")
 
 
 def _unique_labels(labels: Sequence[str], expected: int, axis: str) -> tuple[str, ...]:

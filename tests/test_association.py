@@ -16,7 +16,7 @@ from cattab.association import (
     pearson_correlation,
 )
 from cattab.fixtures import life_quality_survey, police_shootings, vaccine_trial
-from cattab.inference import independence_test
+from cattab.inference import independence_test, mantel_haenszel_test
 from cattab.table import ContingencyTable, expand_records
 
 
@@ -156,6 +156,28 @@ class TestOddsRatio:
         with pytest.raises(ValueError):
             odds_ratio(police_shootings(), rows=(0, 0))
 
+    @pytest.mark.parametrize("rows, cols, name", [
+        ({1, 0}, (0, 1), "rows"),
+        ((1, 0), frozenset((0, 1)), "cols"),
+        ({1: 0, 0: 1}, (0, 1), "rows"),
+        (0, (0, 1), "rows"),
+        ((1, 0), None, "cols"),
+    ], ids=["set", "frozenset", "dict", "int", "None"])
+    def test_pairs_that_are_no_sequence_rejected(self, rows, cols, name):
+        # A set was read in hash order: rows {1, 0} gave the ratio of
+        # rows (0, 1). A dict gave its keys; an int or None raised
+        # TypeError from unpacking.
+        with pytest.raises(ValueError, match=f"^{name} must be an ordered sequence, got "):
+            odds_ratio(make_table([[1, 2], [3, 4]]), rows, cols)
+
+    @pytest.mark.parametrize("make", [lambda: [1, 0], lambda: (1, 0), lambda: np.array([1, 0]),
+                                      lambda: (i for i in (1, 0))],
+                             ids=["list", "tuple", "ndarray", "generator"])
+    def test_ordered_pairs_are_read_in_their_order(self, make):
+        result = odds_ratio(make_table([[1, 2], [3, 4]]), make(), (0, 1))
+        assert result.estimate.hex() == "0x1.8000000000000p+0"
+        assert result.cells_used == (1, 0, 0, 1)
+
 
 class TestScoreAssignment:
     def test_requires_two_distinct_values(self):
@@ -271,6 +293,13 @@ class TestPearsonCorrelation:
             warnings.simplefilter("error")
             r = pearson_correlation(table, scaled)
         assert r == pytest.approx(-pearson_correlation(table), abs=1e-12)
+
+    @pytest.mark.parametrize("call", [pearson_correlation, mantel_haenszel_test])
+    def test_scores_of_the_wrong_type_rejected(self, call):
+        # AttributeError: 'tuple' object has no attribute 'row_scores'.
+        with pytest.raises(ValueError, match=r"^scores must be a ScoreAssignment or None, "
+                                             r"got \(\(1, 2\), \(1, 2\)\)$"):
+            call(police_shootings(), ((1, 2), (1, 2)))
 
     def test_score_length_mismatch(self):
         with pytest.raises(ValueError, match="scores"):

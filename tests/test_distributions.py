@@ -251,6 +251,21 @@ class TestMultinomial:
         with pytest.raises(ValueError):
             multinomial_pmf(spec, (-1, 7))
 
+    @pytest.mark.parametrize("counts", [{7, 3}, frozenset((7, 3)), {7: 0, 3: 0}, None],
+                             ids=["set", "frozenset", "dict", "None"])
+    def test_counts_that_are_no_sequence_rejected(self, counts):
+        # A set was read in hash order: {7, 3} gave 0.2013, the pmf of
+        # (3, 7). A dict gave its keys, and None raised TypeError.
+        with pytest.raises(ValueError, match="^counts must be an ordered sequence, got "):
+            multinomial_pmf(MultinomialSpec(10, (0.2, 0.8)), counts)
+
+    @pytest.mark.parametrize("make", [lambda: [7, 3], lambda: (7, 3), lambda: np.array([7, 3]),
+                                      lambda: (c for c in (7, 3))],
+                             ids=["list", "tuple", "ndarray", "generator"])
+    def test_ordered_counts_are_read_in_their_order(self, make):
+        spec = MultinomialSpec(10, (0.2, 0.8))
+        assert multinomial_pmf(spec, make()).hex() == "0x1.9c511dc3a41d8p-11"
+
     @pytest.mark.parametrize("args, expected", sorted(MULTINOMIAL_LOG_PMF_REF.items()))
     def test_log_pmf_reference_values(self, args, expected):
         n, counts = args

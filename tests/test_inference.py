@@ -322,7 +322,6 @@ class TestExpectedFrequencies:
         expected = expected_frequencies(police_shootings())
         assert expected.values[0, 0] == pytest.approx(2990 * 253 / 5697, rel=1e-12)
         assert expected.values[0, 0] == pytest.approx(132.79, abs=1e-2)
-        assert expected.hypothesis == "independence"
 
     def test_margins_preserved(self):
         for table in (police_shootings(), vaccine_trial(), life_quality_survey()):
@@ -338,29 +337,22 @@ class TestExpectedFrequencies:
         assert np.allclose(expected.values, table.counts, atol=1e-12)
 
     def test_vaccine_symptomatic_column(self):
-        expected = expected_frequencies(vaccine_trial(), "homogeneity")
+        expected = expected_frequencies(vaccine_trial())
         assert list(expected.values[:, 1]) == pytest.approx([98.0, 98.0], rel=1e-12)
-        assert expected.hypothesis == "homogeneity"
 
-    def test_unknown_hypothesis(self):
-        with pytest.raises(ValueError):
-            expected_frequencies(police_shootings(), "linearity")
-
-    @pytest.mark.parametrize("values, hypothesis, message", [
-        ([1.0, 2.0], "independence", r"values must be a 2-D matrix .*, got shape \(2,\)"),
-        ([[1.0, 2.0]], "independence", r"values must be a 2-D matrix .*, got shape \(1, 2\)"),
-        ([[np.nan, 1.0], [1.0, 1.0]], "independence", "values must be finite and >= 0"),
-        ([[np.inf, 1.0], [1.0, 1.0]], "homogeneity", "values must be finite and >= 0"),
-        ([[-1.0, 1.0], [1.0, 1.0]], "independence", "values must be finite and >= 0"),
-        ([[10**400, 1], [1, 1]], "independence", "values must be an array of real numbers"),
-        (np.full((2, 2), 1 + 0j), "independence", "values must be an array of real numbers"),
-        ([[1.0, 1.0], [1.0, 1.0]], "linearity", "unknown hypothesis 'linearity'"),
-    ], ids=["1-D", "1x2", "nan", "inf", "negative", "10**400", "complex", "hypothesis"])
-    def test_direct_records_take_only_what_expected_frequencies_returns(
-            self, values, hypothesis, message):
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, 2.0], r"values must be a 2-D matrix .*, got shape \(2,\)"),
+        ([[1.0, 2.0]], r"values must be a 2-D matrix .*, got shape \(1, 2\)"),
+        ([[np.nan, 1.0], [1.0, 1.0]], "values must be finite and >= 0"),
+        ([[np.inf, 1.0], [1.0, 1.0]], "values must be finite and >= 0"),
+        ([[-1.0, 1.0], [1.0, 1.0]], "values must be finite and >= 0"),
+        ([[10**400, 1], [1, 1]], "values must be an array of real numbers"),
+        (np.full((2, 2), 1 + 0j), "values must be an array of real numbers"),
+    ], ids=["1-D", "1x2", "nan", "inf", "negative", "10**400", "complex"])
+    def test_direct_records_take_only_what_expected_frequencies_returns(self, values, message):
         # Each was accepted, but 10**400, which raised OverflowError.
         with pytest.raises(ValueError, match=message):
-            ExpectedFrequencies(values, hypothesis)
+            ExpectedFrequencies(values)
 
     def test_eager_and_test_records_are_one_record(self):
         # expected_frequencies returns the record the tests return: its
@@ -373,7 +365,7 @@ class TestExpectedFrequencies:
 
     def test_caller_array_is_copied(self):
         values = np.full((2, 2), 2.5)
-        expected = ExpectedFrequencies(values, "independence")
+        expected = ExpectedFrequencies(values)
         values[0, 0] = 1.0  # the caller's array stays writable
         assert expected.values.tolist() == [[2.5, 2.5], [2.5, 2.5]]
         with pytest.raises(ValueError):
@@ -384,15 +376,14 @@ class TestExpectedFrequencies:
                                        make_table([[0, 3, 1], [4, 0, 2]])],
                              ids=["2x2", "5x5", "zero-cells"])
     def test_test_results_build_values_on_first_read(self, runner, table):
-        hypothesis = runner.__name__.removesuffix("_test")
         _, _, expected = runner(table)
         assert "values" not in vars(expected)
         values = expected.values
-        assert values.tobytes() == expected_frequencies(table, hypothesis).values.tobytes()
+        assert values.tobytes() == expected_frequencies(table).values.tobytes()
         assert values.dtype == float and values.shape == table.shape
         assert not values.flags.writeable
         assert expected.values is values
-        assert vars(expected).keys() == {"values", "hypothesis"}
+        assert vars(expected).keys() == {"values"}
 
     def test_unread_values_compare_hash_and_pickle_as_built_ones(self):
         table = life_quality_survey()
@@ -520,7 +511,7 @@ class TestHomogeneityTest:
         assert pearson.df == 1
         assert pearson.p_value < 0.01
         assert deviance.p_value < 0.01
-        assert expected.hypothesis == "homogeneity"
+        assert expected == expected_frequencies(vaccine_trial())
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(count_matrices(min_count=0, max_count=5),

@@ -435,6 +435,12 @@ class TestCalibrateNull:
             calibrate_null(scheme, "mantel_haenszel", 1000, seed=1,
                            scores=ScoreAssignment((1, 2, 3), (1, 2)))
 
+    def test_rejects_scores_of_the_wrong_type(self):
+        # AttributeError: 'tuple' object has no attribute 'row_scores'.
+        scheme = SamplingScheme.multinomial(500, UNIFORM_2X2)
+        with pytest.raises(ValueError, match="^scores must be a ScoreAssignment or None, got "):
+            calibrate_null(scheme, "mantel_haenszel", 1000, seed=1, scores=((1, 2), (1, 2)))
+
     @pytest.mark.parametrize("test", ["pearson", "deviance"])
     def test_rejects_scores_with_a_chi_square_test(self, test):
         # The chi-square statistics take no scores; these were ignored.

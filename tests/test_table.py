@@ -536,8 +536,8 @@ _ARRAY_DATACLASSES = {
          lambda: ProbabilityEstimates(np.full((2, 2), 0.25), _counts_table())]),
     "ExpectedFrequencies": (
         lambda: expected_frequencies(_counts_table()),
-        [lambda: expected_frequencies(_counts_table(), "homogeneity"),
-         lambda: ExpectedFrequencies(np.full((2, 2), 2.5), "independence")]),
+        [lambda: expected_frequencies(_counts_table(((1, 2), (4, 3)))),
+         lambda: ExpectedFrequencies(np.full((2, 2), 2.5))]),
     "PoissonScheme": (
         lambda: SamplingScheme.poisson(np.full((2, 2), 3.0)),
         [lambda: SamplingScheme.poisson([[3.0, 3.0], [3.0, 4.0]]),
@@ -682,8 +682,7 @@ def test_directly_built_records_match_their_public_twins(table):
             _same_instance_dict(result, _TestResult(
                 result.statistic, result.statistic_kind, result.df, result.p_value,
                 small_cell_warning=result.small_cell_warning))
-        _same_instance_dict(expected, ExpectedFrequencies(expected.values,
-                                                          expected.hypothesis))
+        _same_instance_dict(expected, ExpectedFrequencies(expected.values))
     if table.row_ordinal:
         linear = mantel_haenszel_test(table)
         assert linear.statistic_kind is StatisticKind.MANTEL_HAENSZEL
