@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _ordered
-from .table import ContingencyTable
+from .table import _BOOLS, ContingencyTable
 
 __all__ = [
     "ScoreAssignment",
@@ -120,6 +120,15 @@ def _check_index(i: int, limit: int, axis: str) -> int:
     return i
 
 
+def _index_pair(values, what: str) -> tuple:
+    """``values`` read by the ordered-argument rule, refused unless it
+    holds exactly two items."""
+    pair = _ordered(values, what)
+    if len(pair) != 2:
+        raise ValueError(f"{what} must be a pair of indices, got {pair!r}")
+    return pair
+
+
 def odds(table: ContingencyTable, target_row: int, other_row: int,
          given_col: int) -> float:
     """Odds of the target row versus the other row within one column:
@@ -158,7 +167,9 @@ def odds_ratio(
     denominator product yields +inf rather than an error. All four cells
     zero is always an error.
     """
-    (i, i2), (j, j2) = _ordered(rows, "rows"), _ordered(cols, "cols")
+    (i, i2), (j, j2) = _index_pair(rows, "rows"), _index_pair(cols, "cols")
+    if not isinstance(zero_correction, _BOOLS):
+        raise ValueError(f"zero_correction must be a bool, got {zero_correction!r}")
     n_rows, n_cols = table.shape
     i, i2 = _check_index(i, n_rows, "row"), _check_index(i2, n_rows, "row")
     j, j2 = _check_index(j, n_cols, "column"), _check_index(j2, n_cols, "column")

@@ -63,10 +63,25 @@ _UNIT_SUM_TOL = 1e-12  # how far the sum of a probability vector may be from 1
 
 
 def _count(value, what: str) -> int:
-    """The count rule: an integer in 0.._INT64_MAX."""
-    if not 0 <= value <= _INT64_MAX:  # NaN and infinities too
+    """The count rule: an integer in 0.._INT64_MAX. Only an int or a
+    float is compared with the bounds, which NaN and the infinities fail;
+    anything else (a string, None, a complex number) is refused by
+    ``_as_integer``, not compared."""
+    if isinstance(value, (numbers.Integral, float)) and not 0 <= value <= _INT64_MAX:
         raise ValueError(f"{what} must be between 0 and {_INT64_MAX}, got {value}")
     return _as_integer(value, what)
+
+
+def _real(value, what: str):
+    """The type rule for a real parameter, checked before its range: an
+    int, a float or a Fraction as given, and any other real number (a
+    numpy float32, a Decimal) as a float, which the range check compares
+    without numpy's overflowing cast of the bound or a Decimal NaN's
+    ``InvalidOperation``. What is no real number (a string, None, a
+    complex number) would raise ``TypeError`` there, and is refused."""
+    if not isinstance(value, numbers.Number) or isinstance(value, (complex, np.complexfloating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value if isinstance(value, (numbers.Rational, float)) else float(value)
 
 
 def _ordered(values, what: str) -> tuple:
@@ -127,9 +142,10 @@ class BinomialSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", _count(self.trials, "trials"))
-        if not 0.0 <= self.success_prob <= 1.0:
-            raise ValueError(f"success_prob must be in [0, 1], got {self.success_prob}")
-        object.__setattr__(self, "success_prob", float(self.success_prob))
+        prob = _real(self.success_prob, "success_prob")
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"success_prob must be in [0, 1], got {prob}")
+        object.__setattr__(self, "success_prob", float(prob))
 
 
 @dataclass(frozen=True)
@@ -155,9 +171,10 @@ class PoissonSpec:
     rate: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rate <= sys.float_info.max:  # 10**400 too
-            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-        object.__setattr__(self, "rate", float(self.rate))
+        rate = _real(self.rate, "rate")
+        if not 0.0 < rate <= sys.float_info.max:  # 10**400 too
+            raise ValueError(f"rate must be finite and > 0, got {rate}")
+        object.__setattr__(self, "rate", float(rate))
 
 
 def _stirlerr(n: int) -> float:

@@ -10,15 +10,16 @@ M^2 = (n - 1) r^2 for scored ordinal variables.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .association import ScoreAssignment, pearson_correlation
-from .distributions import _count, _float_array
+from .distributions import _count, _real
 from .special import chi2_sf, normal_cdf, normal_quantile, xlogy
-from .table import ContingencyTable, _check_matrix, _ContentEq, _record
+from .table import ContingencyTable, _ContentEq, _require_table
 
 __all__ = [
     "StatisticKind",
@@ -95,65 +96,49 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-def _expected_matrix(row_totals: np.ndarray, col_totals: np.ndarray, n: float,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """The writable float matrix row_total * col_total / n, in ``out``
-    when given: the one expression for the expected frequencies. The
-    margins are a table's float64 margins, the rows as an (I, 1) column,
-    and n its float total, cast once when the table was built; in floats,
-    since an int64 product of two margins can wrap once n > 3e9. The rows
-    are copied across ``out`` and multiplied in place, which allocates no
-    iterator buffer of its own, unlike a broadcasting ``np.multiply``."""
+def _expected_matrix(table: ContingencyTable, out: np.ndarray | None = None) -> np.ndarray:
+    """The writable float matrix row_total * col_total / n of ``table``,
+    in ``out`` when given: the one expression for the expected
+    frequencies. It reads the table's float64 margins, the rows as an
+    (I, 1) column, and its float total, cast once when the table was
+    built; in floats, since an int64 product of two margins can wrap once
+    n > 3e9. The rows are copied across ``out`` and multiplied in place,
+    which allocates no iterator buffer of its own, unlike a broadcasting
+    ``np.multiply``."""
     if out is None:
-        out = np.empty((row_totals.shape[0], col_totals.shape[0]))
-    np.copyto(out, row_totals)
-    out *= col_totals
-    out /= n
+        out = np.empty(table.shape)
+    np.copyto(out, table._float_row_totals)
+    out *= table._float_col_totals
+    out /= table._float_total
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class ExpectedFrequencies(_ContentEq):
-    """Estimated expected cell frequencies row_total * col_total / n:
-    one fit for the independence and the homogeneity hypothesis alike.
-    The record names neither: only the sampling design and the wording
-    of the conclusion differ, and the caller names the design by calling
-    :func:`independence_test` or :func:`homogeneity_test`.
+    """Estimated expected cell frequencies row_total * col_total / n of
+    ``table``: one fit for the independence and the homogeneity
+    hypothesis alike. The record names neither: only the sampling design
+    and the wording of the conclusion differ, and the caller names the
+    design by calling :func:`independence_test` or :func:`homogeneity_test`.
 
-    ``values`` is a read-only, C-ordered float matrix. The frequencies
-    that :func:`expected_frequencies`, :func:`independence_test` and
-    :func:`homogeneity_test` return keep only the table's float64 margins
-    and n, and build ``values`` on first read; a test whose caller reads
-    only the statistics holds no table-sized matrix. Built directly, the
-    record takes what those could return: a finite, nonnegative matrix of
-    at least 2 x 2."""
+    The record holds its table and builds ``values``, a read-only,
+    C-ordered float matrix, on first read, so a test whose caller reads
+    only the statistics holds no table-sized matrix. Records compare and
+    hash by ``values``."""
 
-    values: np.ndarray
+    table: ContingencyTable
 
     def __post_init__(self) -> None:
-        values = _check_matrix(_float_array(self.values, "values"), "values")
-        if not ((values >= 0.0) & (values < math.inf)).all():  # NaN fails both
-            raise ValueError("values must be finite and >= 0")
-        object.__setattr__(self, "values", values)
+        _require_table(self.table, "table")
 
-    @classmethod
-    def _deferred(cls, table: ContingencyTable) -> ExpectedFrequencies:
-        """Frequencies of ``table`` whose ``values`` are built on first read."""
-        return _record(cls, _margins=(table._float_row_totals, table._float_col_totals,
-                                      table._float_total))
-
-    def __getattr__(self, name: str):
-        # Reached only when ``name`` is not in the instance dict: once
-        # built, ``values`` is read like any other field, and the record's
-        # instance dict is that of one built by the constructor.
-        margins = self.__dict__.get("_margins")
-        if name != "values" or margins is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values = _expected_matrix(*margins)
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = _expected_matrix(self.table)
         values.setflags(write=False)
-        self.__dict__.setdefault("values", values)
-        self.__dict__.pop("_margins", None)
-        return self.__dict__["values"]
+        return values
+
+    def _content(self) -> tuple:
+        return (self.values,)
 
 
 @dataclass(frozen=True)
@@ -166,12 +151,20 @@ class LikelihoodDetail:
 
 
 def _proportion_data(successes: int, trials: int) -> tuple[int, int]:
+    successes, trials = _count(successes, "successes"), _count(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    successes, trials = _count(successes, "successes"), _count(trials, "trials")
     if successes > trials:
         raise ValueError(f"successes must satisfy 0 <= y <= {trials}, got {successes}")
     return successes, trials
+
+
+def _interior(value, what: str):
+    """A proportion strictly between 0 and 1: the type rule, then the range."""
+    value = _real(value, what)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{what} must be interior, got {value}")
+    return value
 
 
 def mle_proportion(successes: int, trials: int) -> tuple[float, float]:
@@ -191,6 +184,7 @@ def log_likelihood(pi: float, successes: int, trials: int) -> float:
     so the closed parameter domain [0, 1] is total.
     """
     successes, trials = _proportion_data(successes, trials)
+    pi = _real(pi, "pi")
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must be in [0, 1], got {pi}")
     return xlogy(successes, pi) + xlogy(trials - successes, 1.0 - pi)
@@ -220,8 +214,7 @@ def score_test_proportion(
     """z test with the standard error evaluated at the null value:
     z = (y/n - pi0) / sqrt(pi0 (1 - pi0) / n)."""
     successes, trials = _proportion_data(successes, trials)
-    if not 0.0 < pi0 < 1.0:
-        raise ValueError(f"null proportion must be interior, got {pi0}")
+    pi0 = _interior(pi0, "null proportion")
     sidedness = Sidedness(sidedness)
     z = (successes / trials - pi0) / _null_se(pi0, trials)
     return TestResult(z, StatisticKind.SCORE_Z, 1, _z_p_value(z, sidedness),
@@ -232,6 +225,7 @@ def wald_test_proportion(successes: int, trials: int, pi0: float) -> TestResult:
     """Chi-square test with z^2 formed from the standard error at the
     estimate; unusable at boundary estimates where that SE is 0."""
     estimate, se = mle_proportion(successes, trials)
+    pi0 = _real(pi0, "null proportion")
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"null proportion must be in [0, 1], got {pi0}")
     if se == 0.0:
@@ -249,8 +243,7 @@ def lr_test_proportion(
     """Likelihood-ratio chi-square: -2 ln(l0 / l1), where l0 is the
     likelihood at the null value and l1 the maximized likelihood."""
     successes, trials = _proportion_data(successes, trials)
-    if not 0.0 < pi0 < 1.0:
-        raise ValueError(f"null proportion must be interior, got {pi0}")
+    pi0 = _interior(pi0, "null proportion")
     log_l1 = log_likelihood(successes / trials, successes, trials)
     log_l0 = log_likelihood(pi0, successes, trials)
     stat = max(0.0, 2.0 * (log_l1 - log_l0))
@@ -262,6 +255,7 @@ def _level_quantile(level: float) -> float:
     """The normal probability 0.5 * (1 + level) whose quantile is a
     two-sided interval's z; ``ValueError`` unless it lies in [0.5, 1),
     which a level within 2**-53 of 1 misses by rounding up to 1.0."""
+    level = _real(level, "confidence level")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
     p = 0.5 * (1.0 + level)
@@ -271,23 +265,16 @@ def _level_quantile(level: float) -> float:
     return p
 
 
-def wald_ci(
-    successes: int, trials: int, level: float = 0.95, *, clip: bool = False
-) -> ConfidenceInterval:
+def wald_ci(successes: int, trials: int, level: float = 0.95) -> ConfidenceInterval:
     """Wald confidence interval estimate ± z_{alpha/2} * SE(estimate).
 
-    Bounds may fall outside [0, 1]; pass ``clip=True`` to truncate them.
-    Boundary data (y in {0, n}) produce a degenerate zero-width interval.
+    Bounds are not truncated and may fall outside [0, 1]. Boundary data
+    (y in {0, n}) produce a degenerate zero-width interval.
     """
     p = _level_quantile(level)
     estimate, se = mle_proportion(successes, trials)
     z = normal_quantile(p)
-    lower = estimate - z * se
-    upper = estimate + z * se
-    if clip:
-        lower = max(0.0, lower)
-        upper = min(1.0, upper)
-    return ConfidenceInterval(estimate, lower, upper, level, se,
+    return ConfidenceInterval(estimate, estimate - z * se, estimate + z * se, level, se,
                               degenerate=(se == 0.0))
 
 
@@ -313,7 +300,7 @@ def expected_frequencies(table: ContingencyTable) -> ExpectedFrequencies:
     numbers serve both the independence and the homogeneity hypothesis;
     only the sampling design and the wording of the conclusion differ.
     ``values`` is built on first read."""
-    return ExpectedFrequencies._deferred(table)
+    return ExpectedFrequencies(table)
 
 
 def _chisq_pair(table: ContingencyTable) -> tuple[TestResult, TestResult, ExpectedFrequencies]:
@@ -326,17 +313,17 @@ def _chisq_pair(table: ContingencyTable) -> tuple[TestResult, TestResult, Expect
     one reduction sums both slots. The counts are the table's float copy,
     so every step takes float64 operands only (a ufunc that mixes int64
     and float64 casts through a buffer of its own on every call). The
-    returned expected frequencies build their matrix again only when
-    read. The statistics are bit for bit ``((o - mu) ** 2 / mu).sum()``
-    and ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms,
-    summed in the same order, a zero cell's term an exact zero.
+    returned :class:`ExpectedFrequencies` holds the table and builds its
+    matrix again only when ``values`` is read. The statistics are bit for
+    bit ``((o - mu) ** 2 / mu).sum()`` and
+    ``2 * (o * log(fmax(o / mu, ulp(0)))).sum()``: the same terms, summed
+    in the same order, a zero cell's term an exact zero.
     """
     min_expected = _require_positive_margins(table)
     obs = table._float_counts
     terms = np.empty((2,) + obs.shape)
     x2_terms, mu = terms[0], terms[1]  # indexed: unpacking iterates, which costs more
-    _expected_matrix(table._float_row_totals, table._float_col_totals, table._float_total,
-                     out=mu)
+    _expected_matrix(table, out=mu)
     np.subtract(obs, mu, out=x2_terms)
     np.square(x2_terms, out=x2_terms)
     x2_terms /= mu
@@ -356,7 +343,7 @@ def _chisq_pair(table: ContingencyTable) -> tuple[TestResult, TestResult, Expect
                          small_cell_warning=warn)
     deviance = TestResult(g2, StatisticKind.DEVIANCE_CHISQ, df, chi2_sf(df, g2),
                           small_cell_warning=warn)
-    return pearson, deviance, ExpectedFrequencies._deferred(table)
+    return pearson, deviance, ExpectedFrequencies(table)
 
 
 def independence_test(

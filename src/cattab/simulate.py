@@ -26,6 +26,7 @@ from .association import ScoreAssignment, _score_vectors, _scored_moments
 from .distributions import _INT64_MAX, _as_integer, _count, _float_array, _ordered, _probabilities
 from .inference import (
     StatisticKind,
+    _interior,
     _level_quantile,
     _proportion_data,
     independence_test,
@@ -240,10 +241,11 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _replicate_count(replicates: int) -> int:
+    replicates = _count(replicates, "replicates")
     if replicates < _MIN_CALIBRATION_REPLICATES:
         raise ValueError(
             f"replicates must be >= {_MIN_CALIBRATION_REPLICATES}, got {replicates}")
-    return _count(replicates, "replicates")
+    return replicates
 
 
 def sample_table(scheme: SamplingScheme, seed: int) -> ContingencyTable:
@@ -360,8 +362,7 @@ def coverage_wald_ci(
     Applies ``wald_ci``'s arithmetic, in its order, to all replicates'
     counts at once, so its cost grows with the replicates and not with
     one interval per distinct count."""
-    if not 0.0 < true_pi < 1.0:
-        raise ValueError(f"true proportion must be interior, got {true_pi}")
+    true_pi = _interior(true_pi, "true proportion")
     z = normal_quantile(_level_quantile(level))  # refused before the draws
     _, trials = _proportion_data(0, trials)
     replicates = _replicate_count(replicates)

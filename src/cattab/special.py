@@ -19,7 +19,8 @@ df go through the incomplete gamma function.
 
 All functions are pure, raise ``ValueError`` outside their domain (NaN
 and infinite arguments included, except x = +inf, where the tails are
-0 and 1), and never return NaN. An argument may be a float or an int.
+0 and 1), and never return NaN. An argument may be a float or an int;
+anything else (a string, None, a complex number) raises ``ValueError``.
 An int is taken as the float nearest it; one beyond the float range,
 such as 10**400, as the infinity of its sign. A function returns there
 the value it defines at that infinity, which is also the correctly
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import math
 import sys
+
+from .distributions import _real
 
 __all__ = [
     "ln_gamma",
@@ -116,11 +119,15 @@ _TEMME_C = (
 
 def _float(x: float) -> float:
     """An argument as a float, an int beyond the float range as the
-    infinity of its sign (see the module docstring)."""
+    infinity of its sign (see the module docstring); ``ValueError`` for
+    what is neither: a string or None, whose product with 1.0 fails, or
+    a complex number, whose product ``float()`` refuses."""
     try:
-        return x * 1.0
+        return float(x * 1.0)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+    except TypeError:
+        raise ValueError(f"arguments must be floats or ints, got {x!r}") from None
 
 
 def ln_gamma(x: float) -> float:
@@ -333,14 +340,17 @@ def chi2_sf(df: float, x: float) -> float:
     Temme's expansion for df >= 200 with x within 25% of df. Q is 0 at
     x = +inf.
     """
-    try:  # _float inline: a table test calls this once per statistic
+    # _float inline, as a table test calls this once per statistic; the
+    # checks sit in the try, since a complex number passes the product
+    # and fails only the comparison.
+    try:
         df, x = df * 1.0, x * 1.0
-    except OverflowError:
-        df, x = _float(df), _float(x)
-    if not 0.0 < df < math.inf:  # NaN too
-        raise ValueError(f"chi2_sf requires finite df > 0, got {df}")
-    if not x >= 0.0:  # NaN too
-        raise ValueError(f"chi2_sf requires x >= 0, got {x}")
+        if not 0.0 < df < math.inf:  # NaN too
+            raise ValueError(f"chi2_sf requires finite df > 0, got {df}")
+        if not x >= 0.0:  # NaN too
+            raise ValueError(f"chi2_sf requires x >= 0, got {x}")
+    except (OverflowError, TypeError):  # an int beyond the float range; no float or int
+        return chi2_sf(_float(df), _float(x))
     # df < 200 first: int(df) is defined only for finite df.
     if not (df < _FINITE_SUM_MAX_DF and df == int(df)):
         return reg_gamma_upper(0.5 * df, 0.5 * x)
@@ -397,6 +407,7 @@ def normal_cdf(z: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Inverse of the standard normal CDF, for 0 < p < 1."""
+    p = _real(p, "p")
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires 0 < p < 1, got {p}")
     # Imported on first use: ``statistics`` pulls in ``fractions`` and

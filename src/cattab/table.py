@@ -16,7 +16,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .distributions import _INT64_MAX, _count, _ordered, _probabilities
+from .distributions import _INT64_MAX, _count, _ordered
 
 __all__ = [
     "ContingencyTable",
@@ -55,19 +55,6 @@ class _ContentEq:
     def __hash__(self) -> int:
         return hash(tuple((v.shape, tuple(v.ravel().tolist()))
                           if isinstance(v, np.ndarray) else v for v in self._content()))
-
-
-def _record(cls, **values):
-    """An instance of the frozen dataclass ``cls`` with its instance dict
-    filled from ``values``, without ``__init__`` or ``__post_init__``, for
-    two records: :func:`joint_probabilities`'s, whose checks the
-    constructor would only repeat, and ``ExpectedFrequencies._deferred``'s,
-    whose ``values`` are built on first read. ``values`` names every field,
-    defaults included; the deferred record names its margins in place of
-    ``values``."""
-    record = cls.__new__(cls)
-    object.__setattr__(record, "__dict__", values)  # a fresh dict, adopted whole
-    return record
 
 
 def _is_integer_cell(x) -> bool:
@@ -223,34 +210,38 @@ class ContingencyTable(_ContentEq):
         return self._total
 
 
+def _require_table(table, what: str) -> ContingencyTable:
+    """``table``, or ``ValueError`` when it is not a ContingencyTable.
+    The one such check, and here beside the class: a traced run of the
+    benchmark (``perfbench/tracing.py``) replaces the name
+    ``ContingencyTable`` in every module that imports it with a wrapper
+    function, against which ``isinstance`` would raise ``TypeError``."""
+    if not isinstance(table, ContingencyTable):
+        raise ValueError(f"{what} must be a ContingencyTable, got {table!r}")
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityEstimates(_ContentEq):
-    """Maximum-likelihood joint probability estimates and the row and
-    column marginals they imply, summed from ``joint`` on construction."""
+    """Maximum-likelihood joint probability estimates (count / n) of the
+    ``source`` table and the row and column marginals summed from them,
+    computed on construction as read-only, C-ordered float arrays."""
 
-    joint: np.ndarray
+    joint: np.ndarray = field(init=False)
     row_marginal: np.ndarray = field(init=False)
     col_marginal: np.ndarray = field(init=False)
     source: ContingencyTable
 
     def __post_init__(self) -> None:
-        joint = _probabilities(self.joint, "joint")
-        if not isinstance(self.source, ContingencyTable) or joint.shape != self.source.shape:
-            raise ValueError(f"joint must have its source table's shape, got {joint.shape}")
-        rows, cols = _frozen_marginals(joint)
+        source = _require_table(self.source, "source")
+        joint = np.divide(source._float_counts, source._float_total)
+        # np.add.reduce is ndarray.sum without its Python-level dispatch.
+        rows, cols = np.add.reduce(joint, 1), np.add.reduce(joint, 0)
+        for arr in (joint, rows, cols):
+            arr.setflags(write=False)
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "row_marginal", rows)
         object.__setattr__(self, "col_marginal", cols)
-
-
-def _frozen_marginals(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row and column sums of ``joint``, read-only; ``np.add.reduce``
-    is ``ndarray.sum`` without its Python-level dispatch."""
-    rows = np.add.reduce(joint, 1)
-    cols = np.add.reduce(joint, 0)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
 
 
 def crosstab(
@@ -331,13 +322,7 @@ def expand_records(table: ContingencyTable) -> list[Record]:
 def joint_probabilities(table: ContingencyTable) -> ProbabilityEstimates:
     """ML estimates of the joint cell probabilities (count / n) together
     with the row and column marginals."""
-    # Built for these estimates alone: frozen here, without the copy and
-    # the check a caller's joint gets.
-    joint = np.divide(table._float_counts, table._float_total)
-    joint.setflags(write=False)
-    rows, cols = _frozen_marginals(joint)
-    return _record(ProbabilityEstimates, joint=joint, row_marginal=rows, col_marginal=cols,
-                   source=table)
+    return ProbabilityEstimates(table)
 
 
 def conditional_probabilities(

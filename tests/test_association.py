@@ -156,19 +156,28 @@ class TestOddsRatio:
         with pytest.raises(ValueError):
             odds_ratio(police_shootings(), rows=(0, 0))
 
-    @pytest.mark.parametrize("rows, cols, name", [
-        ({1, 0}, (0, 1), "rows"),
-        ((1, 0), frozenset((0, 1)), "cols"),
-        ({1: 0, 0: 1}, (0, 1), "rows"),
-        (0, (0, 1), "rows"),
-        ((1, 0), None, "cols"),
-    ], ids=["set", "frozenset", "dict", "int", "None"])
-    def test_pairs_that_are_no_sequence_rejected(self, rows, cols, name):
+    @pytest.mark.parametrize("rows, cols, message", [
+        ({1, 0}, (0, 1), "rows must be an ordered sequence"),
+        ((1, 0), frozenset((0, 1)), "cols must be an ordered sequence"),
+        ({1: 0, 0: 1}, (0, 1), "rows must be an ordered sequence"),
+        (0, (0, 1), "rows must be an ordered sequence"),
+        ((1, 0), None, "cols must be an ordered sequence"),
+        ((0, 1, 1), (0, 1), "rows must be a pair of indices"),
+        ((1, 0), (0,), "cols must be a pair of indices"),
+    ], ids=["set", "frozenset", "dict", "int", "None", "three", "one"])
+    def test_pairs_that_are_no_sequence_rejected(self, rows, cols, message):
         # A set was read in hash order: rows {1, 0} gave the ratio of
         # rows (0, 1). A dict gave its keys; an int or None raised
-        # TypeError from unpacking.
-        with pytest.raises(ValueError, match=f"^{name} must be an ordered sequence, got "):
+        # TypeError from unpacking, and a pair of the wrong length a
+        # ValueError that named neither argument.
+        with pytest.raises(ValueError, match=f"^{message}, got "):
             odds_ratio(make_table([[1, 2], [3, 4]]), rows, cols)
+
+    @pytest.mark.parametrize("flag", ["yes", 1, None], ids=["str", "int", "None"])
+    def test_zero_correction_must_be_a_bool(self, flag):
+        # "yes" was returned as correction_applied='yes'.
+        with pytest.raises(ValueError, match="^zero_correction must be a bool, got "):
+            odds_ratio(make_table([[1, 2], [3, 4]]), zero_correction=flag)
 
     @pytest.mark.parametrize("make", [lambda: [1, 0], lambda: (1, 0), lambda: np.array([1, 0]),
                                       lambda: (i for i in (1, 0))],

@@ -9,8 +9,9 @@ matrices whose cells mix those edges with strings, None, complex numbers
 and bools; every per-table statistic is called on tables with an empty
 row or column, a single nonzero cell or a total near the int64 maximum,
 whose counts arrive read-only, Fortran-ordered or as a strided view, and
-so do the matrices of the schemes, of probability estimates and of
-expected frequencies. Each call must return its documented type, with no
+so do the matrices of the schemes; the probability estimates and the
+expected frequencies are built from such tables, or from an edge, which
+is no table. Each call must return its documented type, with no
 NaN where a number is returned and every array read-only and C-ordered,
 or raise ``ValueError`` (``IndexError`` with the index rule's message,
 for a call that takes a row or column index), and must warn nothing.
@@ -66,7 +67,7 @@ from cattab import (
 from cattab import special
 from cattab.association import OddsRatioResult
 from cattab.distributions import _INT64_MAX
-from cattab.fixtures import life_quality_survey, police_shootings
+from cattab.fixtures import life_quality_survey
 from cattab.inference import TestResult as _TestResult  # not a test class
 from cattab.io import parse_counts_csv
 from cattab.simulate import (
@@ -82,9 +83,10 @@ from cattab.table import ContingencyTable
 _HUGE_DIAGONAL_CSV = Path(__file__).parent / "golden" / "huge_diagonal_16x16.csv"
 
 # Subnormals, NaN, the infinities, the int64 maximum and one past it, an
-# int beyond the float range, non-integral floats and negatives.
+# int beyond the float range, non-integral floats, negatives, and what is
+# no real number: a numeric string, None and a complex number.
 _EDGES = [5e-324, 1e-310, -5e-324, math.nan, math.inf, -math.inf, 2**63 - 1, 2**63,
-          10**400, 2.5, 0.3, 1e308, -1, -0.5, -0.0]
+          10**400, 2.5, 0.3, 1e308, -1, -0.5, -0.0, "2", None, 1j]
 
 
 def _arg(*valid):
@@ -162,7 +164,7 @@ _LAYOUTS = {
 def _as_array(matrix):
     try:
         return np.array(matrix, dtype=float)
-    except OverflowError:  # 10**400
+    except (OverflowError, TypeError):  # 10**400, a complex number
         return np.array(matrix, dtype=object)
 
 
@@ -367,10 +369,11 @@ _CALLS = {
     "pearson_correlation": (_scored_table(), _scored(pearson_correlation),
                             lambda r: _number(r) and -1.0 <= r <= 1.0),
     "mantel_haenszel_test": (_scored_table(), _scored(mantel_haenszel_test), _test_result),
-    "ProbabilityEstimates": (st.tuples(_laid_out(_MATRIX)),
-                             lambda joint: ProbabilityEstimates(joint, police_shootings()),
-                             _estimates),
-    "ExpectedFrequencies": (st.tuples(_laid_out(_MATRIX)), ExpectedFrequencies, _expected),
+    # A table, or one of the edges, which no record is built from.
+    "ProbabilityEstimates": (st.tuples(st.one_of(_count_table(), st.sampled_from(_EDGES))),
+                             ProbabilityEstimates, _estimates),
+    "ExpectedFrequencies": (st.tuples(st.one_of(_count_table(), st.sampled_from(_EDGES))),
+                            ExpectedFrequencies, _expected),
     "PoissonScheme": (st.tuples(_laid_out(_RATES)), PoissonScheme, _valid_scheme),
     "BinomialRowsScheme": (st.tuples(st.tuples(_COUNT, _COUNT), _laid_out(_ROW_PROBS)),
                            BinomialRowsScheme, _valid_scheme),
@@ -435,8 +438,6 @@ def _call(draw):
 @example(case=("binomial_log_pmf", (10**400, 0.5, 3)))
 @example(case=("poisson_pmf", (3.0, 10**400)))
 @example(case=("poisson_pmf", (10**400, 3)))
-@example(case=("ProbabilityEstimates", (((math.nan, 0.5), (0.25, 0.25)),)))
-@example(case=("ProbabilityEstimates", (((-0.25, 0.75), (0.25, 0.25)),)))
 @example(case=("pearson_correlation", (_TABLES[0], ((1, 2, 3, 4, math.nan), (1, 2, 3, 4, 5)))))
 @example(case=("pearson_correlation", (_TABLES[0], (tuple(1e100 * k for k in range(1, 6)),) * 2)))
 @example(case=("pearson_correlation", (_TABLES[0], (tuple(1e307 * k for k in range(1, 6)),) * 2)))
@@ -471,8 +472,6 @@ def _call(draw):
 @example(case=("calibrate_null", ((PoissonScheme, (((7.5e18,) * 2,) * 2,)), "pearson", 1)))
 # Stored in the caller's Fortran order; OverflowError; kept as given.
 @example(case=("PoissonScheme", (np.asfortranarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),)))
-@example(case=("ExpectedFrequencies", (np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]),)))
-@example(case=("ExpectedFrequencies", (((10**400, 1), (1, 1)),)))
 # A non-integer index: numpy's IndexError text, and TypeError.
 @example(case=("odds", (_TABLES[0], 0.5, 1, 0)))
 @example(case=("odds_ratio", (_TABLES[0], (0, 1.5), (0, 1), False)))
@@ -480,15 +479,23 @@ def _call(draw):
 @example(case=("ContingencyTable", ([[1, 2], [3, 4]], None, None)))
 @example(case=("ContingencyTable", ([[1, 2], [3, 4]], ("a", "b"), ("x", "y"), "yes", False)))
 @example(case=("crosstab", (5, None, None)))
-# Records whose shape expected_frequencies and joint_probabilities could
-# never return, and a complex matrix, which warned and dropped its
-# imaginary part.
-@example(case=("ProbabilityEstimates", (((0.5, 0.5),),)))
-@example(case=("ProbabilityEstimates", (((0.1, 0.2, 0.2), (0.1, 0.2, 0.2)),)))
-@example(case=("ExpectedFrequencies", ((1.0, 2.0),)))
-@example(case=("ExpectedFrequencies", (((math.nan, 1.0), (1.0, 1.0)),)))
-@example(case=("ExpectedFrequencies", (((-1.0, 1.0), (1.0, 1.0)),)))
-@example(case=("ExpectedFrequencies", (np.full((2, 2), 1 + 1j),)))
+# A complex matrix, which warned and dropped its imaginary part.
+@example(case=("PoissonScheme", (np.full((2, 2), 3 + 1j),)))
+# A matrix, which the records once took from a caller, is no table.
+@example(case=("ProbabilityEstimates", (((0.25, 0.25), (0.25, 0.25)),)))
+@example(case=("ExpectedFrequencies", (np.full((2, 2), 2.5),)))
+# A scalar that is no real number, one per module: each raised TypeError
+# from a comparison or a product, and "yes" was kept as the flag.
+@example(case=("BinomialSpec", (10, "0.5")))
+@example(case=("poisson_pmf", (3.0, None)))
+@example(case=("wald_ci", (3, 10, None)))
+@example(case=("coverage_wald_ci", ("0.3", 10, 0.95, 1000, 1)))
+@example(case=("coverage_wald_ci", (0.3, 10, 0.95, "1000", 1)))
+@example(case=("chi2_sf", ("3", 2)))
+@example(case=("chi2_sf", (1j, 2)))
+@example(case=("normal_cdf", (None,)))
+@example(case=("normal_quantile", (".5",)))
+@example(case=("odds_ratio", (_TABLES[0], (0, 1), (0, 1), "yes")))
 @settings(max_examples=1000, deadline=None)
 def test_rule_governed_callables_return_or_raise_value_error(case):
     name, args = case
@@ -511,7 +518,7 @@ def _stored_arrays(record):
     """Every array a record holds, by name, and what
     ``cell_probabilities()`` returns for a scheme."""
     if isinstance(record, ExpectedFrequencies):
-        record.values  # built on first read in a deferred record
+        record.values  # built on first read
     arrays = {name: v for name, v in vars(record).items() if isinstance(v, np.ndarray)}
     if isinstance(record, SamplingScheme):
         arrays["cell_probabilities()"] = record.cell_probabilities()
@@ -520,7 +527,8 @@ def _stored_arrays(record):
 
 def _records(rng, shape):
     """One record of each kind that stores an array, built from a matrix
-    of the shape passed through ``lay_out``."""
+    of the shape passed through ``lay_out``: the estimate records from a
+    table of such counts."""
     counts = rng.integers(0, 50, size=shape)
     counts[0, 0] += 1
     source = ContingencyTable(counts, tuple(f"r{i}" for i in range(shape[0])),
@@ -528,20 +536,17 @@ def _records(rng, shape):
     joint = rng.dirichlet(np.ones(counts.size)).reshape(shape)
     row_probs = rng.dirichlet(np.ones(shape[1]), size=shape[0])
     rates = rng.gamma(2.0, 10.0, size=shape)
-    values = rng.uniform(0.0, 100.0, size=shape)
     totals = tuple(int(t) for t in rng.integers(1, 100, size=shape[0]))
     return {
         "ContingencyTable": lambda lay_out: ContingencyTable(
             lay_out(counts), source.row_labels, source.col_labels),
-        "ProbabilityEstimates": lambda lay_out: ProbabilityEstimates(lay_out(joint), source),
-        "ExpectedFrequencies": lambda lay_out: ExpectedFrequencies(lay_out(values)),
+        "ProbabilityEstimates": lambda lay_out: ProbabilityEstimates(
+            ContingencyTable(lay_out(counts), source.row_labels, source.col_labels)),
+        "ExpectedFrequencies": lambda lay_out: ExpectedFrequencies(
+            ContingencyTable(lay_out(counts), source.row_labels, source.col_labels)),
         "PoissonScheme": lambda lay_out: PoissonScheme(lay_out(rates)),
         "BinomialRowsScheme": lambda lay_out: BinomialRowsScheme(totals, lay_out(row_probs)),
         "MultinomialScheme": lambda lay_out: MultinomialScheme(1000, lay_out(joint)),
-        "expected_frequencies": lambda lay_out: expected_frequencies(
-            ContingencyTable(lay_out(counts), source.row_labels, source.col_labels)),
-        "joint_probabilities": lambda lay_out: joint_probabilities(
-            ContingencyTable(lay_out(counts), source.row_labels, source.col_labels)),
     }
 
 
@@ -549,8 +554,7 @@ def _records(rng, shape):
 def test_every_stored_array_is_read_only_c_ordered_whatever_the_input_layout(seed):
     # The array rule: a record stores read-only, C-ordered arrays, so a
     # sum over one runs in one order and equal values give equal bytes.
-    # A Poisson scheme kept the caller's Fortran-ordered rates, and so
-    # did directly built expected frequencies.
+    # A Poisson scheme kept the caller's Fortran-ordered rates.
     rng = np.random.default_rng([seed, 18])
     shape = ((7, 9), (2, 2), (12, 5))[seed % 3]
     for kind, build in _records(rng, shape).items():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -412,3 +413,32 @@ def test_integral_floats_and_numpy_integers_are_counts():
     assert poisson_log_pmf(PoissonSpec(3.0), 4.0) == poisson_log_pmf(PoissonSpec(3.0), 4)
     assert multinomial_log_pmf(MultinomialSpec(10, (0.5, 0.5)), np.array([3, 7])) == \
         multinomial_log_pmf(MultinomialSpec(10, (0.5, 0.5)), (3, 7))
+
+
+@pytest.mark.parametrize("value", [1, 0.5, np.float32(0.5), np.int64(1), Fraction(1, 2),
+                                   Decimal("0.5")],
+                         ids=["int", "float", "float32", "int64", "Fraction", "Decimal"])
+def test_real_parameters_take_every_real_type(value):
+    assert BinomialSpec(4, value).success_prob == float(value)
+    assert PoissonSpec(value).rate == float(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: BinomialSpec(10, bad), "success_prob must be a real number"),
+    (lambda bad: PoissonSpec(bad), "rate must be a real number"),
+    (lambda bad: BinomialSpec(bad, 0.5), "trials must be an integer"),
+    (lambda bad: binomial_pmf(BinomialSpec(10, 0.5), bad), "count must be an integer"),
+    (lambda bad: multinomial_pmf(MultinomialSpec(10, (0.2, 0.8)), (bad, 7)),
+     "each count must be an integer"),
+], ids=["success_prob", "rate", "trials", "binomial-count", "multinomial-count"])
+@pytest.mark.parametrize("bad", ["3", None, 1j, 1 + 0j], ids=["str", "None", "complex", "1+0j"])
+def test_scalars_that_are_no_real_number_rejected(call, message, bad):
+    # Each was compared with a bound and raised TypeError.
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        call(bad)
+
+
+def test_decimal_nan_is_refused_by_the_range_check():
+    # A Decimal NaN raised decimal.InvalidOperation in the comparison.
+    with pytest.raises(ValueError, match="success_prob must be in"):
+        BinomialSpec(10, Decimal("NaN"))

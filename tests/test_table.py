@@ -1,7 +1,6 @@
 import dataclasses
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -372,47 +371,20 @@ class TestJointProbabilities:
         est = joint_probabilities(table)
         assert np.allclose(est.joint, 0.25, atol=0)
 
+    def test_the_constructor_builds_the_estimates_of_its_source(self):
+        table = police_shootings()
+        built = ProbabilityEstimates(table)
+        assert built == joint_probabilities(table)
+        assert built.source is table
+
     def test_marginals_are_derived_not_passed(self):
         assert [f.name for f in dataclasses.fields(ProbabilityEstimates) if f.init] == [
-            "joint", "source"]
-
-    def test_hand_built_joint_must_sum_to_one(self):
-        table = police_shootings()
-        with pytest.raises(ValueError, match="joint must sum to 1, got 0.8999"):
-            ProbabilityEstimates(np.array([[0.2, 0.3], [0.2, 0.2]]), table)
-
-    @pytest.mark.parametrize("bad", [np.nan, -0.25], ids=["nan", "negative"])
-    def test_hand_built_joint_must_be_probabilities(self, bad):
-        # Both passed when only the sum was checked: [[nan, ...]] sums to
-        # nan, and [[-0.25, 0.75], ...] to 1.
-        joint = np.array([[bad, 0.75], [0.25, 0.25]])
-        with pytest.raises(ValueError, match=r"joint must be finite and in \[0, 1\], got"):
-            ProbabilityEstimates(joint, police_shootings())
-
-    @pytest.mark.parametrize("joint", [[[0.5, 0.5]], [[0.1, 0.2, 0.2], [0.1, 0.2, 0.2]],
-                                       [0.25] * 4, [[[0.25, 0.25], [0.25, 0.25]]]],
-                             ids=["1x2", "2x3", "1-D", "3-D"])
-    def test_hand_built_joint_must_have_the_source_shape(self, joint):
-        # Each was accepted against a 2x2 source table.
-        with pytest.raises(ValueError, match="joint must have its source table's shape"):
-            ProbabilityEstimates(joint, police_shootings())
-
-    @pytest.mark.parametrize("joint, bad", [
-        ([[10**400, 0], [0, 0]], "10**400"), (np.full((2, 2), 0.25 + 0j), "complex"),
-        ([["a", "b"], ["c", "d"]], "str"), ([[0.5, 0.5], [0.5]], "ragged")],
-        ids=lambda v: v if isinstance(v, str) else "")
-    def test_hand_built_joint_must_be_real_numbers(self, joint, bad):
-        # OverflowError, a ComplexWarning and numpy's own messages.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="joint must be an array of real numbers in "
-                                                 "the float range"):
-                ProbabilityEstimates(joint, police_shootings())
+            "source"]
 
     def test_caller_array_is_copied(self):
-        joint = np.full((2, 2), 0.25)
-        est = ProbabilityEstimates(joint, police_shootings())
-        joint[0, 0] = 1.0  # the caller's array stays writable
+        counts = np.full((2, 2), 25, dtype=np.int64)
+        est = ProbabilityEstimates(ContingencyTable(counts, ("a", "b"), ("x", "y")))
+        counts[0, 0] = 100  # the caller's array stays writable
         assert est.joint.tolist() == [[0.25, 0.25], [0.25, 0.25]]
         assert est.row_marginal.tolist() == est.col_marginal.tolist() == [0.5, 0.5]
 
@@ -533,11 +505,11 @@ _ARRAY_DATACLASSES = {
     "ProbabilityEstimates": (
         lambda: joint_probabilities(_counts_table()),
         [lambda: joint_probabilities(_counts_table(((1, 2), (4, 3)))),
-         lambda: ProbabilityEstimates(np.full((2, 2), 0.25), _counts_table())]),
+         lambda: ProbabilityEstimates(_counts_table(rows=("a", "c")))]),
     "ExpectedFrequencies": (
         lambda: expected_frequencies(_counts_table()),
         [lambda: expected_frequencies(_counts_table(((1, 2), (4, 3)))),
-         lambda: ExpectedFrequencies(np.full((2, 2), 2.5))]),
+         lambda: ExpectedFrequencies(_counts_table(((2, 4), (6, 8))))]),
     "PoissonScheme": (
         lambda: SamplingScheme.poisson(np.full((2, 2), 3.0)),
         [lambda: SamplingScheme.poisson([[3.0, 3.0], [3.0, 4.0]]),
@@ -629,21 +601,34 @@ def test_counts_layout_does_not_change_any_output(seed):
         assert dump == outputs["C"], name
 
 
+@pytest.mark.parametrize("record", [ProbabilityEstimates, ExpectedFrequencies])
+@pytest.mark.parametrize("source", [None, [[1, 2], [3, 4]], np.full((2, 2), 0.25)],
+                         ids=["None", "list", "array"])
+def test_records_are_built_from_tables_only(record, source):
+    # A record's one argument is the table it estimates from; a matrix
+    # that a caller computed is no table.
+    with pytest.raises(ValueError, match=r"(source|table) must be a ContingencyTable, got"):
+        record(source)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_joint_layout_does_not_change_the_estimates(seed):
-    # The joint was copied in the caller's memory order, so the marginals
-    # of a Fortran-ordered joint were summed in another order than those
-    # of the C-ordered joint with the same values.
+    # A joint copied in the caller's memory order had the marginals of a
+    # Fortran-ordered table summed in another order than those of the
+    # C-ordered table with the same counts.
     size = (12, 40, 200)[seed % 3]
     rng = np.random.default_rng([size, seed])
-    joint = rng.dirichlet(np.ones(size * size)).reshape(size, size)
+    counts = rng.integers(1, 10**6, size=(size, size))
     labels = tuple(map(str, range(size)))
-    source = ContingencyTable(np.ones((size, size), dtype=np.int64), labels, labels)
-    c_ordered = ProbabilityEstimates(joint, source)
-    fortran = ProbabilityEstimates(np.asfortranarray(joint), source)
-    assert fortran.joint.flags.c_contiguous
+    c_ordered = ContingencyTable(counts, labels, labels)
+    fortran = ContingencyTable(np.asfortranarray(counts), labels, labels)
+    by_c, by_f = ProbabilityEstimates(c_ordered), ProbabilityEstimates(fortran)
+    assert by_f.joint.flags.c_contiguous
     for name in ("joint", "row_marginal", "col_marginal"):
-        assert getattr(fortran, name).tobytes() == getattr(c_ordered, name).tobytes(), name
+        assert getattr(by_f, name).tobytes() == getattr(by_c, name).tobytes(), name
+    expected_f = ExpectedFrequencies(fortran).values
+    assert expected_f.flags.c_contiguous
+    assert expected_f.tobytes() == ExpectedFrequencies(c_ordered).values.tobytes()
 
 
 def _same_instance_dict(direct, twin):
@@ -670,19 +655,17 @@ def _same_instance_dict(direct, twin):
                                                     row_ordinal=True, col_ordinal=True)],
                          ids=["2x2", "5x5", "zero-cells"])
 def test_directly_built_records_match_their_public_twins(table):
-    # joint_probabilities and the tests' expected frequencies fill their
-    # records' instance dicts directly (table._record), and the expected
-    # frequencies build values on first read; a field left out would
-    # still read from the class, so == alone would not see it. The test
-    # results and the odds ratio are built by their constructors, and
-    # must stay equal to their twins.
+    # Every record is built by its constructor, and must hold what its
+    # twin built from the same arguments holds: a field left out would
+    # still read from the class, so == alone would not see it. The
+    # expected frequencies add values on first read, which == does.
     for test in (independence_test, homogeneity_test):
         pearson, deviance, expected = test(table)
         for result in (pearson, deviance):
             _same_instance_dict(result, _TestResult(
                 result.statistic, result.statistic_kind, result.df, result.p_value,
                 small_cell_warning=result.small_cell_warning))
-        _same_instance_dict(expected, ExpectedFrequencies(expected.values))
+        _same_instance_dict(expected, ExpectedFrequencies(table))
     if table.row_ordinal:
         linear = mantel_haenszel_test(table)
         assert linear.statistic_kind is StatisticKind.MANTEL_HAENSZEL
@@ -693,7 +676,7 @@ def test_directly_built_records_match_their_public_twins(table):
         _same_instance_dict(ratio, OddsRatioResult(ratio.estimate, ratio.cells_used,
                                                    ratio.correction_applied))
     estimates = joint_probabilities(table)
-    _same_instance_dict(estimates, ProbabilityEstimates(estimates.joint, table))
+    _same_instance_dict(estimates, ProbabilityEstimates(table))
 
 
 def test_unknown_fixture_is_refused():

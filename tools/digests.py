@@ -23,8 +23,10 @@ cattab is imported) and compare the lines.
   and 3 and 2,000 replicates.
 
 Floats are hashed by their bits (``float.hex``), arrays by dtype, shape
-and bytes, records field by field. The digests are printed, not checked
-against stored values: they depend on the numpy release as well.
+and bytes, records field by field (expected frequencies by their
+``values``, as when that was their one field). The digests are
+printed, not checked against stored values: they depend on the numpy
+release as well.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ def _update(h, x) -> None:
             _update(h, item)
     elif isinstance(x, dict):
         _update(h, list(x.items()))
+    elif isinstance(x, cattab.ExpectedFrequencies):
+        # By its values, not by its one field, the table it was built from.
+        h.update(type(x).__name__.encode())
+        _update(h, [("values", x.values)])
     elif dataclasses.is_dataclass(x):
         h.update(type(x).__name__.encode())
         _update(h, [(f.name, getattr(x, f.name)) for f in dataclasses.fields(x)])
